@@ -94,14 +94,13 @@ def _cmd_link2(args) -> int:
 
 
 def _cmd_kite_find(args) -> int:
-    g = _read_graph(args.graph)
-    roots = RootQuadruple(args.x1, args.x2, args.x3, args.x4)
     options = FindKiteOptions(
         verify_connectivity=args.check_connectivity,
         allow_fallback=not args.no_fallback,
-        flower_budget=args.budget,
-        fallback_budget=args.budget,
+        budget=args.budget,
     )
+    g = _read_graph(args.graph)
+    roots = RootQuadruple(args.x1, args.x2, args.x3, args.x4)
     result = find_kite(g, roots, options)
     _emit(args, result.as_json())
     return 0
@@ -162,7 +161,6 @@ def _cmd_trials(args) -> int:
         roots=args.roots,
         oracle_fraction=args.oracle_fraction,
         budget=args.budget,
-        threads=args.threads,
         timing=args.timing,
     )
     reports = run_trials(config)
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", choices=("sampled", "exhaustive"), default="sampled")
     p.add_argument("--oracle-fraction", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_trials)
 

@@ -103,8 +103,11 @@ class FindKiteOptions:
     verify_connectivity: bool = False
     try_direct: bool = True
     allow_fallback: bool = True
-    flower_budget: int = 10_000_000
-    fallback_budget: int = 10_000_000
+    budget: int = 10_000_000  # expansions for the flower search and the fallback
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise PreconditionViolated("budget needs at least one expansion")
 
 
 @dataclass(frozen=True)
@@ -616,7 +619,15 @@ def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivi
     ]
     spent = 0
 
-    def walk(v: int, goal: int, used: set[int], banned: set[int], acc: list[int]):
+    def bits(vertices) -> int:
+        mask = 0
+        for u in vertices:
+            mask |= 1 << u
+        return mask
+
+    def walk(v: int, goal: int, blocked: int, acc: list[int]):
+        """Yield every simple path v -> goal through vertices outside the
+        bitmask blocked; acc already holds v, which blocked includes."""
         nonlocal spent
         spent += 1
         if spent > budget:
@@ -624,30 +635,21 @@ def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivi
         if v == goal:
             yield list(acc)
             return
-        mask = 0
-        for b in used:
-            mask |= 1 << b
-        for b in banned:
-            mask |= 1 << b
-        mask &= ~(1 << v)
-        mask &= ~(1 << goal)
-        if not connected_avoiding(g, v, goal, mask):
+        if not connected_avoiding(g, v, goal, blocked):
             return
         for nxt in ranked[v]:
-            if nxt in used or nxt in banned:
+            if blocked >> nxt & 1:
                 continue
-            used.add(nxt)
             acc.append(nxt)
-            yield from walk(nxt, goal, used, banned, acc)
+            yield from walk(nxt, goal, blocked | 1 << nxt, acc)
             acc.pop()
-            used.remove(nxt)
 
-    for pendant in walk(x2, x4, {x2}, {x1, x3}, [x2]):
-        pin = set(pendant) - {x2}
-        for a_arc in walk(x2, x1, {x2}, pin | {x3}, [x2]):
-            for b_arc in walk(x1, x3, set(a_arc), pin, [x1]):
-                used = set(a_arc) | set(b_arc)
-                for c_arc in walk(x3, x2, used - {x2}, pin, [x3]):
+    for pendant in walk(x2, x4, bits((x2, x1, x3)), [x2]):
+        pin = bits(pendant[1:])
+        for a_arc in walk(x2, x1, pin | bits((x2, x3)), [x2]):
+            for b_arc in walk(x1, x3, pin | bits(a_arc), [x1]):
+                used = bits(a_arc) | bits(b_arc)
+                for c_arc in walk(x3, x2, pin | used & ~(1 << x2), [x3]):
                     cycle = Cycle(a_arc + b_arc[1:] + c_arc[1:-1])
                     kite = KiteSubdivision.from_parts(cycle, Path(pendant))
                     check = verify_kite(g, f.roots, kite)
@@ -704,7 +706,7 @@ def _pipeline(
     if kite is not None:
         return "claim3", kite
     flower = build_flower(g, tf, af, lm)
-    return "flower", resolve_flower(g, flower, options.flower_budget)
+    return "flower", resolve_flower(g, flower, options.budget)
 
 
 def find_kite(
@@ -740,7 +742,7 @@ def find_kite(
         if not options.allow_fallback:
             raise
     try:
-        kite = find_kite_exhaustive(g, roots, SearchBudget(options.fallback_budget))
+        kite = find_kite_exhaustive(g, roots, SearchBudget(options.budget))
     except BudgetExceeded as exc:
         raise ConstructionFailed(f"fallback budget exhausted: {exc}", exhausted=True) from exc
     if kite is None:

@@ -3,8 +3,8 @@ report as JSON lines.
 
 Reports are byte-deterministic for a fixed config: wall-clock time is
 only recorded when timing is requested, and everything else is a pure
-function of the seed.  Trials are independent, so a thread pool may run
-them; reports always come back in trial order.
+function of the seed.  Trials run one after another and reports come
+back in trial order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constructor import FindKiteOptions, find_kite
@@ -38,7 +37,6 @@ class TrialConfig:
     roots: str = "sampled"  # "sampled" or "exhaustive"
     oracle_fraction: float = 0.0
     budget: int = 10_000_000
-    threads: int = 1
     timing: bool = False
 
     def __post_init__(self):
@@ -50,8 +48,8 @@ class TrialConfig:
             raise PreconditionViolated("need at least one trial")
         if not 0.0 <= self.oracle_fraction <= 1.0:
             raise PreconditionViolated("oracle fraction must sit in [0, 1]")
-        if self.threads < 1:
-            raise PreconditionViolated("need at least one thread")
+        if self.budget < 1:
+            raise PreconditionViolated("budget needs at least one expansion")
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,7 @@ def _tasks(config: TrialConfig) -> list[tuple[int, Graph, int, RootQuadruple]]:
 
 def _run_one(task: tuple[int, Graph, int, RootQuadruple], config: TrialConfig) -> TrialReport:
     index, g, seed, roots = task
-    options = FindKiteOptions(
-        flower_budget=config.budget, fallback_budget=config.budget
-    )
+    options = FindKiteOptions(budget=config.budget)
     started = time.perf_counter()
     outcome, stage, verified, error, kite_json = "failure", "", False, "", None
     found = False
@@ -168,11 +164,7 @@ def _run_one(task: tuple[int, Graph, int, RootQuadruple], config: TrialConfig) -
 
 def run_trials(config: TrialConfig) -> list[TrialReport]:
     """Execute the whole campaign; one report per trial, in trial order."""
-    tasks = _tasks(config)
-    if config.threads == 1:
-        return [_run_one(t, config) for t in tasks]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(lambda t: _run_one(t, config), tasks))
+    return [_run_one(t, config) for t in _tasks(config)]
 
 
 def stage_counts(reports: list[TrialReport]) -> dict[str, int]:

@@ -21,15 +21,12 @@ from .structures import KiteSubdivision, RootQuadruple
 class SearchBudget:
     """Cap on node expansions for one exhaustive call.
 
-    With deterministic=True neighbors are scanned in vertex order and the
-    first (hence lexicographically least) solution is returned.  With
-    deterministic=False the scan prefers low-degree neighbors, which
-    often finds some witness faster but gives up the canonical-output
-    guarantee.  Both modes are complete within the budget.
+    Neighbors are scanned in vertex order, so the first (hence
+    lexicographically least) solution is returned.  The search is
+    complete within the budget.
     """
 
     max_expansions: int = 10_000_000
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_expansions < 1:
@@ -45,25 +42,26 @@ class KiteLinkedVerdict:
         return self.linked
 
 
+def _bits(vertices) -> int:
+    mask = 0
+    for u in vertices:
+        mask |= 1 << u
+    return mask
+
+
 class _PathSearch:
-    """Shared DFS plumbing: ranked adjacency, budget counter, pruning."""
+    """Shared DFS plumbing: budget counter, pruning."""
 
     def __init__(self, g: Graph, budget: SearchBudget):
         self.g = g
         self.budget = budget
         self.spent = 0
-        if budget.deterministic:
-            self.ranked = [g.neighbors(v) for v in range(g.n)]
-        else:
-            self.ranked = [
-                tuple(sorted(g.neighbors(v), key=lambda w: (g.degree(w), w)))
-                for v in range(g.n)
-            ]
 
-    def walk(self, v: int, goal: int, used: set[int], banned: set[int], acc: list[int]):
-        """Yield every simple path v -> goal avoiding used and banned.
+    def walk(self, v: int, goal: int, blocked: int, acc: list[int]):
+        """Yield every simple path v -> goal through vertices outside the
+        bitmask blocked.
 
-        acc already contains v; used mirrors acc plus any extra blocks.
+        acc already contains v, and blocked includes every vertex of acc.
         """
         self.spent += 1
         if self.spent > self.budget.max_expansions:
@@ -73,23 +71,14 @@ class _PathSearch:
         if v == goal:
             yield list(acc)
             return
-        mask = 0
-        for b in used:
-            mask |= 1 << b
-        for b in banned:
-            mask |= 1 << b
-        mask &= ~(1 << v)
-        mask &= ~(1 << goal)
-        if not connected_avoiding(self.g, v, goal, mask):
+        if not connected_avoiding(self.g, v, goal, blocked):
             return
-        for w in self.ranked[v]:
-            if w in used or w in banned:
+        for w in self.g.neighbors(v):
+            if blocked >> w & 1:
                 continue
-            used.add(w)
             acc.append(w)
-            yield from self.walk(w, goal, used, banned, acc)
+            yield from self.walk(w, goal, blocked | 1 << w, acc)
             acc.pop()
-            used.remove(w)
 
 
 def find_kite_exhaustive(
@@ -109,12 +98,13 @@ def find_kite_exhaustive(
         raise PreconditionViolated(f"roots {roots.as_tuple()} outside graph")
     x1, x2, x3, x4 = roots.as_tuple()
     search = _PathSearch(g, budget)
-    for a_arc in search.walk(x2, x1, {x2}, {x3, x4}, [x2]):
-        for b_arc in search.walk(x1, x3, set(a_arc), {x4}, [x1]):
-            used = set(a_arc) | set(b_arc)
-            for c_arc in search.walk(x3, x2, used - {x2}, {x4}, [x3]):
+    x4_bit = 1 << x4
+    for a_arc in search.walk(x2, x1, _bits((x2, x3, x4)), [x2]):
+        for b_arc in search.walk(x1, x3, _bits(a_arc) | x4_bit, [x1]):
+            used = _bits(a_arc) | _bits(b_arc)
+            for c_arc in search.walk(x3, x2, used & ~(1 << x2) | x4_bit, [x3]):
                 cycle = a_arc + b_arc[1:] + c_arc[1:-1]
-                for pendant in search.walk(x2, x4, set(cycle), set(), [x2]):
+                for pendant in search.walk(x2, x4, _bits(cycle), [x2]):
                     return KiteSubdivision.from_parts(Cycle(cycle), Path(pendant))
     return None
 

@@ -250,10 +250,9 @@ def test_criterion_9_campaign_determinism():
     config = dict(
         generator="random", n=12, trials=40, seed=11, oracle_fraction=0.15
     )
-    first = "\n".join(report_lines(run_trials(TrialConfig(threads=1, **config))))
-    second = "\n".join(report_lines(run_trials(TrialConfig(threads=1, **config))))
-    threaded = "\n".join(report_lines(run_trials(TrialConfig(threads=3, **config))))
-    assert first == second == threaded
+    first = "\n".join(report_lines(run_trials(TrialConfig(**config))))
+    second = "\n".join(report_lines(run_trials(TrialConfig(**config))))
+    assert first == second
     for line in first.splitlines():
         assert json.loads(line)["outcome"] == "success"
-    print("criterion 9: PASS - identical byte streams across repeat and threaded runs")
+    print("criterion 9: PASS - identical byte streams across repeat runs")

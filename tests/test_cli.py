@@ -1,5 +1,6 @@
 """Tests for the command-line surface, run in-process."""
 
+import hashlib
 import io
 import json
 
@@ -162,6 +163,13 @@ def test_kite_find_exit_codes_without_kite(tmp_path, capsys):
     assert "stage failure" in err
 
 
+def test_kite_find_rejects_zero_budget_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = _run(capsys, "kite", "find", missing, "0", "1", "2", "3", "--budget", "0")
+    assert code == 2
+    assert out == "" and "budget" in err
+
+
 def test_kite_find_connectivity_gate(tmp_path, capsys):
     ring = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
     gpath = _write_graph(tmp_path, ring)
@@ -233,16 +241,26 @@ def test_trials_quiet_keeps_reports_only(capsys):
     assert err == ""
 
 
-def test_trials_identical_bytes_across_threads(capsys):
-    args = (
-        "trials", "--n", "12", "--trials", "5", "--seed", "4",
-        "--oracle-fraction", "0.4",
-    )
-    code, out1, _ = _run(capsys, *args, "--threads", "1")
-    assert code == 0
-    code, out2, _ = _run(capsys, *args, "--threads", "3")
-    assert code == 0
-    assert out1 == out2
+def test_trials_rejects_zero_budget_before_running(capsys):
+    code, out, err = _run(capsys, "trials", "--n", "10", "--trials", "3", "--budget", "0")
+    assert code == 2
+    assert out == "" and "budget" in err
+
+
+def test_trials_stream_matches_golden_digests(capsys):
+    # The sha256 of each campaign's stdout, pinned so that a change which
+    # alters any report byte fails here, not only between repeat runs.
+    golden = {
+        ("--n", "12", "--trials", "40", "--seed", "11", "--oracle-fraction", "0.15"):
+            "ef7f231d618d7238183d004d6a04f760bcbafac36b0ea959e5ca522c4d430297",
+        ("--generator", "kminusmatching", "--n", "9", "--matching", "4",
+         "--roots", "exhaustive", "--oracle-fraction", "0.05"):
+            "79cc7b451a30aefa21bde3ee3729fc7436a0444361fc7a4343c4b2367e0379a1",
+    }
+    for args, digest in golden.items():
+        code, out, _ = _run(capsys, "trials", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_selftest_passes(capsys):

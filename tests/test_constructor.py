@@ -540,10 +540,31 @@ def test_find_kite_reports_nonexistence():
 
 def test_find_kite_reports_spent_budget():
     g = _bare_flower_graph()
-    opts = FindKiteOptions(try_direct=False, fallback_budget=1)
+    opts = FindKiteOptions(try_direct=False, budget=1)
     with pytest.raises(ConstructionFailed) as exc:
         find_kite(g, RootQuadruple(2, 4, 6, 5), opts)
     assert exc.value.exhausted is True
+
+
+def test_find_kite_options_reject_nonpositive_budget():
+    for budget in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            FindKiteOptions(budget=budget)
+
+
+def test_find_kite_reaches_flower_on_circulant():
+    # C26(1,2,3,4) is 8-connected; of 4,800 sampled root choices on
+    # sparse circulants, only these roots needed the flower stage.
+    n = 26
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2, 3, 4)}
+    g = Graph(n, sorted(edges))
+    res = find_kite(g, RootQuadruple(23, 0, 17, 9))
+    assert res.as_json() == {
+        "roots": [23, 0, 17, 9],
+        "cycle": [0, 4, 6, 10, 13, 17, 20, 23, 22],
+        "pendant": [0, 3, 2, 1, 5, 9],
+        "stage": "flower",
+    }
 
 
 def test_find_kite_is_deterministic():

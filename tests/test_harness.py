@@ -28,9 +28,10 @@ def test_config_rejects_bad_oracle_fraction():
         TrialConfig(oracle_fraction=1.5)
 
 
-def test_config_rejects_zero_threads():
-    with pytest.raises(PreconditionViolated):
-        TrialConfig(threads=0)
+def test_config_rejects_nonpositive_budget():
+    for budget in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            TrialConfig(n=10, trials=3, seed=1, budget=budget)
 
 
 def test_sampled_trials_use_distinct_seeds():
@@ -54,13 +55,6 @@ def test_exhaustive_roots_cover_every_ordered_quadruple():
     assert all(r.outcome == "success" and r.verified for r in reports)
     # The complete graph always carries the one-triangle kite directly.
     assert stage_counts(reports) == {"direct": len(reports)}
-
-
-def test_threaded_run_matches_serial_bytes():
-    base = dict(generator="random", n=12, trials=6, seed=4, oracle_fraction=0.5)
-    serial = run_trials(TrialConfig(threads=1, **base))
-    threaded = run_trials(TrialConfig(threads=4, **base))
-    assert list(report_lines(serial)) == list(report_lines(threaded))
 
 
 def test_oracle_gate_all_or_nothing():

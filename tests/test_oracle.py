@@ -21,7 +21,6 @@ def test_budget_validation():
     with pytest.raises(PreconditionViolated):
         SearchBudget(0)
     assert SearchBudget(5).max_expansions == 5
-    assert SearchBudget().deterministic
 
 
 def test_small_graph_rejected():
@@ -64,22 +63,6 @@ def test_deterministic_mode_repeats_exactly():
     roots = RootQuadruple(7, 0, 5, 2)
     first = find_kite_exhaustive(g, roots)
     assert all(find_kite_exhaustive(g, roots) == first for _ in range(3))
-
-
-def test_heuristic_mode_agrees_on_decision():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(4, 7)
-        g = Graph(
-            n,
-            [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5],
-        )
-        roots = RootQuadruple(*rng.sample(range(n), 4))
-        det = find_kite_exhaustive(g, roots, SearchBudget(deterministic=True))
-        heu = find_kite_exhaustive(g, roots, SearchBudget(deterministic=False))
-        assert (det is None) == (heu is None)
-        if heu is not None:
-            assert verify_kite(g, roots, heu)
 
 
 @settings(max_examples=200, deadline=None)
