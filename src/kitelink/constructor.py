@@ -33,7 +33,14 @@ from .errors import (
     StageFailure,
     VertexNotOnPath,
 )
-from .fans import Fan, TerminalFan, extend_fan, terminal_fan, vertex_connectivity
+from .fans import (
+    Fan,
+    TerminalFan,
+    extend_fan,
+    has_connectivity_at_least,
+    terminal_fan,
+    vertex_connectivity,
+)
 from .graphs import Graph, connected_avoiding
 from .linkage import two_linkage
 from .oracle import SearchBudget, find_kite_exhaustive
@@ -722,10 +729,8 @@ def find_kite(
         options = FindKiteOptions()
     if not roots.in_range(g.n):
         raise PreconditionViolated(f"roots {roots.as_tuple()} outside graph")
-    if options.verify_connectivity:
-        cert = vertex_connectivity(g)
-        if cert.k < 7:
-            raise NotSevenConnected(f"connectivity {cert.k} < 7")
+    if options.verify_connectivity and not has_connectivity_at_least(g, 7):
+        raise NotSevenConnected(f"connectivity {vertex_connectivity(g).k} < 7")
     if options.try_direct:
         kite = _direct_kite(g, roots)
         if kite is not None:

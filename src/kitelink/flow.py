@@ -105,6 +105,55 @@ def exit_(v: int) -> int:
     return 2 * v + 1
 
 
+class SplitNetwork(FlowNetwork):
+    """One vertex-split network per graph, reused by every query on it.
+
+    Every vertex is split, every edge gets both directions, and every
+    vertex has an absorbing arc into the super-sink that stays closed
+    until a query opens it.  Each query first restores the saved
+    baseline capacities, so no network is rebuilt between queries.
+    """
+
+    def __init__(self, g: Graph):
+        super().__init__(2 * g.n + 1)
+        self.sink = 2 * g.n
+        self.split_arcs = [self.add_arc(entry(v), exit_(v), 1) for v in range(g.n)]
+        self.edge_arcs: dict[tuple[int, int], int] = {}
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                self.edge_arcs[(a, b)] = self.add_arc(exit_(a), entry(b), 1)
+        self.sink_arcs = [self.add_arc(entry(v), self.sink, 0) for v in range(g.n)]
+        self.base = self.snapshot()
+
+    def flow_into(self, x: int, targets: dict[int, int], limit: int) -> int:
+        """Max flow, capped at limit, from x into targets.
+
+        As in build_fan_network, targets maps each target vertex to how
+        many paths may end there; targets absorb, so no path runs
+        through one.
+        """
+        cap = self.cap
+        cap[:] = self.base
+        for t, mult in targets.items():
+            cap[self.split_arcs[t]] = 0
+            cap[self.sink_arcs[t]] = mult
+        return self.max_flow(exit_(x), self.sink, limit)
+
+    def min_cut(self, x: int, t: int) -> frozenset[int]:
+        """The vertex cut behind the last flow_into(x, {t: ...}) that
+        stopped short of its limit."""
+        reach = self.reachable(exit_(x))
+        cut: set[int] = set()
+        for v, aid in enumerate(self.split_arcs):
+            if self.cap[aid] == 0 and entry(v) in reach and exit_(v) not in reach:
+                cut.add(v)
+        for (a, b), aid in self.edge_arcs.items():
+            if self.cap[aid] == 0 and exit_(a) in reach and entry(b) not in reach:
+                if b != t and b != x:
+                    cut.add(b)
+        return frozenset(cut)
+
+
 def build_fan_network(
     g: Graph, x: int, targets: dict[int, int]
 ) -> tuple[FlowNetwork, int, dict[tuple[int, int], int], dict[int, int], dict[int, int]]:

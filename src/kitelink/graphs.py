@@ -8,7 +8,7 @@ with u < v.  The text format is a header line "n m" followed by m lines
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -218,12 +218,3 @@ def parse_graph_json(obj: object) -> Graph:
 
 def graph_as_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
-
-
-def complement_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    """Non-adjacent vertex pairs (u < v), in lexicographic order."""
-    for u in range(g.n):
-        nbrs = set(g.neighbors(u))
-        for v in range(u + 1, g.n):
-            if v not in nbrs:
-                yield (u, v)

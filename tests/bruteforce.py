@@ -63,12 +63,13 @@ def brute_connectivity(g: Graph) -> int:
         return 0
     for k in range(0, g.n - 1):
         for cut in itertools.combinations(verts, k):
-            if _disconnected(g, frozenset(cut)):
+            if separates(g, frozenset(cut)):
                 return k
     return g.n - 1
 
 
-def _disconnected(g: Graph, removed: frozenset[int]) -> bool:
+def separates(g: Graph, removed: frozenset[int]) -> bool:
+    """True when g minus the removed set has two or more components."""
     left = [v for v in range(g.n) if v not in removed]
     if len(left) < 2:
         return False

@@ -175,7 +175,7 @@ def test_kite_find_connectivity_gate(tmp_path, capsys):
     gpath = _write_graph(tmp_path, ring)
     code, _, err = _run(capsys, "kite", "find", gpath, "0", "1", "2", "3", "--check-connectivity")
     assert code == 2
-    assert "error:" in err
+    assert err == "error: connectivity 2 < 7\n"
 
 
 def test_kite_linked_decides_families(tmp_path, capsys):

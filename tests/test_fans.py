@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_connectivity, brute_max_fan
+from bruteforce import brute_connectivity, brute_max_fan, separates
 from kitelink.errors import (
     GraphTooSmall,
     InvalidBaseFan,
@@ -209,10 +209,54 @@ def test_cut_certificate_invariant():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_connectivity_matches_cut_enumeration(seed):
     rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    g = _random_graph(rng, n, rng.choice((0.3, 0.55, 0.8, 1.0)))
+    n = rng.randint(2, 9)
+    p = rng.choice((0.3, 0.55, 0.8, 1.0))
+    # Half the graphs plant a separator S with no edge between sides A
+    # and B, which often leaves Even's fan phase to find the cut.
+    sides = rng.choice(("A", "ASB"))
+    side = [rng.choice(sides) for _ in range(n)]
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if {side[i], side[j]} != {"A", "B"} and rng.random() < p
+    ]
+    g = Graph(n, edges)
     want = brute_connectivity(g)
-    if g.n >= 2:
-        assert vertex_connectivity(g).k == want
-        for k in range(0, n):
-            assert has_connectivity_at_least(g, k) == (want >= k)
+    cert = vertex_connectivity(g)
+    assert cert.k == want
+    if cert.cut is not None:
+        assert separates(g, cert.cut)
+    for k in range(0, n + 1):
+        assert has_connectivity_at_least(g, k) == (want >= k)
+
+
+def _circulant(n: int, steps: tuple[int, ...]) -> Graph:
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+@pytest.mark.parametrize("steps", [(1, 2, 3, 4), (1, 2, 4, 7)])
+@pytest.mark.parametrize("n", [20, 40])
+def test_connectivity_of_sparse_circulants(n, steps):
+    g = _circulant(n, steps)
+    cert = vertex_connectivity(g)
+    assert cert.k == 8
+    assert len(cert.cut) == 8 and separates(g, cert.cut)
+    assert has_connectivity_at_least(g, 8)
+    assert not has_connectivity_at_least(g, 9)
+
+
+def test_connectivity_when_min_degree_vertex_is_in_every_min_cut():
+    # Vertex 0 (degree 4, the lowest index of least degree) joins two
+    # disjoint K5s through two vertices of each, so {0} is the only
+    # minimum separator and only a flow between two neighbours of 0
+    # finds it.  Among the first two vertices only the adjacent pair
+    # (0, 1) exists, so the fan phase has to reject k = 2.
+    clique = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    edges = clique + [(a + 5, b + 5) for a, b in clique]
+    g = Graph(11, edges + [(0, 1), (0, 2), (0, 6), (0, 7)])
+    assert brute_connectivity(g) == 1
+    cert = vertex_connectivity(g)
+    assert cert.k == 1 and cert.cut == frozenset({0})
+    assert has_connectivity_at_least(g, 1)
+    assert not has_connectivity_at_least(g, 2)

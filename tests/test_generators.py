@@ -1,5 +1,7 @@
 """Tests for the instance generators."""
 
+import hashlib
+
 import pytest
 
 from kitelink.errors import PreconditionViolated
@@ -45,6 +47,26 @@ def test_random_generator_is_deterministic():
     assert a.n == b.n and a.edges == b.edges
     c = gen_random_kconnected(12, 7, 43)
     assert c.edges != a.edges
+
+
+# sha256 of repr((n, edges)), computed with a connectivity check that ran
+# one flow per non-adjacent pair: any exact check must give the same graphs.
+_PINNED = {
+    (14, 0): "bd74991bf1f27dde4fc6edb1e8084e6bf75d7bac5f864491b7bcd8b064b8361c",
+    (14, 1): "4b628aa185a837cd60d65038c801b15c31610e1f258f75e8316e3d742ea421c4",
+    (14, 2): "16ae82e152992bc7f7f837d8c6e4f9e056816a5376a52e6054dee323478eab1a",
+    (14, 3): "f42ea29c8664aa468cde7464cf84b4ceb8df370ef9c1347cb16f53bb521f448d",
+    (14, 4): "e72b19a2412d5191052f1bf4467c8f065b50b9247f65aac8e55d9a2531a4ca48",
+    (40, 0): "cce95acbb69673eb940c97dd60104352a41a84bb288e320cfe14da506fff49b2",
+    (40, 1): "acd61681e7a29afa93fb57ebc445a2b5de3bb6831b000dc44cecf3d7e6f5011c",
+    (40, 2): "5632967409cd3e3fbd5fb176dcf540c1ad94e6d6b4f9013effba16c0540c3117",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_PINNED))
+def test_random_generator_output_is_pinned(n, seed):
+    g = gen_random_kconnected(n, 7, seed)
+    assert hashlib.sha256(repr((g.n, g.edges)).encode()).hexdigest() == _PINNED[(n, seed)]
 
 
 def test_random_generator_meets_connectivity_floor():

@@ -15,7 +15,6 @@ from kitelink.errors import (
 )
 from kitelink.graphs import (
     Graph,
-    complement_pairs,
     connected_avoiding,
     format_graph,
     graph_as_json,
@@ -87,12 +86,6 @@ def test_json_roundtrip_and_rejections():
         parse_graph_json({"n": 3, "edges": [[0, 1, 2]]})
     with pytest.raises(DuplicateEdge):
         parse_graph_json({"n": 3, "edges": [[0, 1], [1, 0]]})
-
-
-def test_complement_pairs():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    assert list(complement_pairs(g)) == [(1, 3), (2, 3)]
-    assert list(complement_pairs(Graph(2, [(0, 1)]))) == []
 
 
 def test_connected_avoiding_on_path_graph():
