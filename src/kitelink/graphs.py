@@ -8,7 +8,7 @@ with u < v.  The text format is a header line "n m" followed by m lines
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -17,11 +17,18 @@ from .errors import (
     VertexOutOfRange,
 )
 
+if TYPE_CHECKING:
+    from .flow import SplitNetwork
+
 
 class Graph:
-    """An immutable simple undirected graph."""
+    """An immutable simple undirected graph.
 
-    __slots__ = ("n", "_edges", "_adj", "_masks")
+    Derived read-only structures (adjacency bitmasks, the flow network)
+    are built on first use and kept; equality and hashing ignore them.
+    """
+
+    __slots__ = ("n", "_edges", "_adj", "_masks", "_split")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -45,6 +52,7 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._masks: tuple[int, ...] | None = None
+        self._split: SplitNetwork | None = None
 
     @property
     def m(self) -> int:
@@ -81,6 +89,16 @@ class Graph:
                 masks.append(m)
             self._masks = tuple(masks)
         return self._masks[v]
+
+    def split_network(self) -> SplitNetwork:
+        """The vertex-split flow network every fan and connectivity query
+        on this graph runs on.  Two threads may both build it on first
+        use; they build equal networks, and neither is ever written."""
+        if self._split is None:
+            from .flow import SplitNetwork
+
+            self._split = SplitNetwork(self)
+        return self._split
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2

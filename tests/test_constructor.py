@@ -6,6 +6,9 @@ fan/linkage fixtures where every path is pinned down explicitly.
 """
 
 import itertools
+import random
+import sys
+import threading
 
 import pytest
 
@@ -32,7 +35,12 @@ from kitelink.errors import (
     OrderingViolated,
     PreconditionViolated,
 )
-from kitelink.fans import TerminalFan, terminal_fan
+from kitelink.fans import (
+    TerminalFan,
+    has_connectivity_at_least,
+    terminal_fan,
+    vertex_connectivity,
+)
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.oracle import find_kite_exhaustive
@@ -584,3 +592,50 @@ def test_find_kite_constructive_on_random_hosts():
         assert res.stage in {"claim1", "claim2", "claim3", "flower"}
         assert res.diagnostics == ()
         assert verify_kite(g, res.roots, res.kite)
+
+
+# ------------------------------------------------ the graph's shared network
+
+
+def _sample_roots(n, seed, count):
+    rng = random.Random(seed)
+    return [RootQuadruple(*rng.sample(range(n), 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("warm_up", ["vertex_connectivity", "has_connectivity_at_least"])
+def test_find_kite_ignores_earlier_queries_on_the_graph(warm_up):
+    host = gen_random_kconnected(20, 7, 3)
+    used, fresh = Graph(host.n, host.edges), Graph(host.n, host.edges)
+    if warm_up == "vertex_connectivity":
+        assert vertex_connectivity(used).k >= 7
+    else:
+        assert has_connectivity_at_least(used, 7)
+    opts = FindKiteOptions(try_direct=False)
+    for roots in _sample_roots(host.n, 3, 12):
+        assert find_kite(used, roots, opts) == find_kite(fresh, roots, opts)
+    assert used == fresh and hash(used) == hash(fresh)
+
+
+def test_find_kite_threads_sharing_one_graph_match_serial_results():
+    host = gen_random_kconnected(30, 7, 4)
+    roots = _sample_roots(host.n, 4, 10)
+    opts = FindKiteOptions(try_direct=False)
+    serial = [find_kite(Graph(host.n, host.edges), r, opts) for r in roots]
+    shared = Graph(host.n, host.edges)  # its network is built by the race
+    results: dict[int, list] = {}
+
+    def work(i):
+        results[i] = [find_kite(shared, r, opts) for r in roots]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(i) for i in range(4)] == [serial] * 4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_connectivity, brute_max_fan, separates
+from kitelink.constructor import apex_fan
 from kitelink.errors import (
     GraphTooSmall,
     InvalidBaseFan,
@@ -24,7 +26,7 @@ from kitelink.fans import (
     terminal_fan,
     vertex_connectivity,
 )
-from kitelink.generators import gen_complete_minus_matching
+from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.paths import Path
 from kitelink.structures import RootQuadruple
@@ -137,6 +139,30 @@ def test_extend_fan_reports_infeasible_k():
     base = find_fan(g, 0, s, 1)
     assert base is not None
     assert extend_fan(g, 0, s, base, 2) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_extend_fan_keeps_base_endpoints_on_7_connected_hosts(seed):
+    rng = random.Random(seed)
+    n = rng.randint(9, 16)
+    g = gen_random_kconnected(n, 7, rng.randrange(1000))
+    x = rng.randrange(n)
+    pool = [v for v in range(n) if v != x]
+    s = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+    # A fan of a random subgraph is a valid base in g that find_fan on g
+    # need not choose; any 7-connected graph has one of up to 7 arms.
+    sub = Graph(n, [e for e in g.edges if rng.random() < 0.6])
+    size = rng.randint(1, min(7, len(s)))
+    found = find_fan(sub, x, s, size) or find_fan(g, x, s, size)
+    base = Fan(x, tuple(a for a in found.arms if rng.random() < 0.7) or found.arms[:1])
+    assert check_fan(g, x, s, base) is None
+    k = rng.randint(base.k, len(s))
+    fan = extend_fan(g, x, s, base, k)
+    assert (fan is None) == (find_fan(g, x, s, k) is None)
+    if fan is not None:
+        assert fan.k == k and check_fan(g, x, s, fan) is None
+        assert set(base.endpoints()) <= set(fan.endpoints())
 
 
 def test_terminal_fan_on_k8():
@@ -260,3 +286,45 @@ def test_connectivity_when_min_degree_vertex_is_in_every_min_cut():
     assert cert.k == 1 and cert.cut == frozenset({0})
     assert has_connectivity_at_least(g, 1)
     assert not has_connectivity_at_least(g, 2)
+
+
+def _fan_digest(g: Graph, root_choices: list[RootQuadruple]) -> str:
+    h = hashlib.sha256()
+    for roots in root_choices:
+        tf = terminal_fan(g, roots)
+        af = apex_fan(g, tf)
+        arms = ([a.vertices for a in tf.arms()], [a.vertices for a in af.arms()])
+        h.update(repr((roots.as_tuple(), arms, af.side)).encode())
+    return h.hexdigest()
+
+
+def _sampled_roots(n: int, seed: int, count: int) -> list[RootQuadruple]:
+    rng = random.Random(seed)
+    return [RootQuadruple(*rng.sample(range(n), 4)) for _ in range(count)]
+
+
+def _golden_fan_host(name: str) -> tuple[Graph, list[RootQuadruple]]:
+    if name == "C30(1,2,4,7)":
+        return _circulant(30, (1, 2, 4, 7)), [RootQuadruple(28, 13, 12, 5)]
+    if name == "C26(1,2,3,4)":
+        return _circulant(26, (1, 2, 3, 4)), [RootQuadruple(23, 0, 17, 9)]
+    seed = int(name.removeprefix("random40-s"))
+    return gen_random_kconnected(40, 7, seed), _sampled_roots(40, seed, 20)
+
+
+# sha256 over the terminal_fan and apex_fan arms of each root choice,
+# computed when every fan query still built its own flow network: the
+# arms pin the augmenting-path order, not only the fans' existence.
+_FAN_DIGESTS = {
+    "random40-s0": "005099e0db071a4090de79ccf303b23c03c5d1852bc65c9fe13097e04479f790",
+    "random40-s1": "2db6acf19b25480ffcfe4c1e8da6935809d1bdc9171f3f509d665265f3571e41",
+    "random40-s2": "aee449a4e8f93ecd13d472accfdd88f7992320f50f85618fb8316aa644139519",
+    "C30(1,2,4,7)": "eed39a2990b2a0c1d773cb08a1409e904b34518ac591c1cad1fcbca1bc08ab5f",
+    "C26(1,2,3,4)": "a8bc075319ddc482706e8daa94bd867f3815dbc3e3a4efea3ee51b4e969ec699",
+}
+
+
+@pytest.mark.parametrize("host", sorted(_FAN_DIGESTS))
+def test_fan_arms_match_golden_digests(host):
+    g, root_choices = _golden_fan_host(host)
+    assert _fan_digest(g, root_choices) == _FAN_DIGESTS[host]
