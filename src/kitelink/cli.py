@@ -19,6 +19,7 @@ from .errors import (
     FlowerResolutionExhausted,
     FormatError,
     KitelinkError,
+    MalformedLine,
     PreconditionViolated,
     StageFailure,
 )
@@ -32,10 +33,13 @@ from .structures import RootQuadruple, kite_from_json, verify_kite
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -60,7 +64,12 @@ def _cmd_conn(args) -> int:
 
 def _cmd_fan(args) -> int:
     g = _read_graph(args.graph)
-    targets = frozenset(int(t) for t in args.targets.split(","))
+    try:
+        targets = frozenset(int(t) for t in args.targets.split(","))
+    except ValueError:
+        raise MalformedLine(
+            f"targets {args.targets!r} are not comma-separated integers"
+        ) from None
     fan = find_fan(g, args.x, targets, args.k)
     if fan is None:
         _emit(args, {"found": False})
@@ -108,7 +117,10 @@ def _cmd_kite_find(args) -> int:
 
 def _cmd_kite_verify(args) -> int:
     g = _read_graph(args.graph)
-    obj = json.loads(_read_text(args.kite))
+    try:
+        obj = json.loads(_read_text(args.kite))
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"kite file is not JSON: {exc}") from None
     roots, kite = kite_from_json(obj)
     verdict = verify_kite(g, roots, kite)
     _emit(args, {"valid": bool(verdict), "reason": verdict.reason})

@@ -146,19 +146,14 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     side is the Q side.
     """
     x2, x4 = tf.hub, tf.x4
-    territory: set[int] = set()
-    for arm in tf.q + tf.r:
-        territory.update(arm.vertices)
     base = Fan(x4, (tf.s.reverse(),))
-    fan = extend_fan(g, x4, territory, base, 7)
+    fan = extend_fan(g, x4, _vertices(tf.q + tf.r), base, 7)
     if fan is None:
         raise NoSevenFan(f"no 7-fan from x4={x4} into the terminal fan")
     p = next((arm for arm in fan.arms if arm.last == x2), None)
     if p is None:
         raise InvariantViolation("apex fan extension lost the x2 arm")
-    qverts: set[int] = set()
-    for arm in tf.q:
-        qverts.update(arm.vertices)
+    qverts = _vertices(tf.q)
     others = [arm for arm in fan.arms if arm.last != x2]
     qside = [arm for arm in others if arm.last in qverts]
     rside = [arm for arm in others if arm.last not in qverts]
@@ -172,13 +167,12 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
         raise InvariantViolation("neither side of the terminal fan got 3 landings")
 
     def landing_key(arm: Path):
+        # By Q-path, then nearest x2 first; x1 sorts last.
         w = arm.last
-        if w == tf_o.x1:
+        idx = _arm_index(tf_o.q, tf_o.x1, w)
+        if idx is None:
             return (3, 0, arm.vertices)
-        for idx, q in enumerate(tf_o.q):
-            if w in q:
-                return (idx, q.index(w), arm.vertices)
-        raise InvariantViolation(f"landing {w} is off the Q side")
+        return (idx, tf_o.q[idx].index(w), arm.vertices)
 
     ordered = tuple(sorted(qside, key=landing_key))
     af = ApexFan(p, tuple((arm, arm.last) for arm in ordered), side)
@@ -190,22 +184,60 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     return af
 
 
-def _q_vertices(tf_o: TerminalFan) -> set[int]:
-    out: set[int] = set()
-    for arm in tf_o.q:
-        out.update(arm.vertices)
-    return out
+def _vertices(paths) -> set[int]:
+    return {v for path in paths for v in path.vertices}
+
+
+def _other(*taken: int | None) -> int:
+    """The lowest arm index of a bundle that is not taken."""
+    return min({0, 1, 2}.difference(taken))
+
+
+def _arm_index(bundle: tuple[Path, ...], root: int, a: int) -> int | None:
+    """The index of the bundle arm through a.
+
+    Arms of a bundle share only the hub and their far end, the root, so
+    the arm is unique off those two; None when a is the root itself,
+    which every arm reaches.
+    """
+    if a == root:
+        return None
+    for idx, arm in enumerate(bundle):
+        if a in arm:
+            return idx
+    raise InvariantViolation(f"{a} is on no arm ending at {root}")
+
+
+def _stem(bundle: tuple[Path, ...], root: int, a: int) -> tuple[int | None, Path]:
+    """The index of the bundle arm through a, and its stretch root -> a."""
+    idx = _arm_index(bundle, root, a)
+    return idx, Path((root,)) if idx is None else subpath(bundle[idx], root, a)
+
+
+def _landing_arm(af: ApexFan, a: int) -> Path:
+    for arm, _ in af.landings:
+        if a in arm:
+            return arm
+    raise InvariantViolation(f"{a} is on no landing arm")
+
+
+def _contact_stem(tf_o: TerminalFan, af: ApexFan, a: int) -> tuple[int | None, Path]:
+    """The stem x1 -> a for a on a Q-path or on a landing arm.
+
+    Off Q, the stem runs up the Q-path of a's landing and out along the
+    arm.  The index is that of the Q-path used, None when it is x1 alone.
+    """
+    if any(a in q for q in tf_o.q):
+        return _stem(tf_o.q, tf_o.x1, a)
+    arm = _landing_arm(af, a)
+    idx, stem = _stem(tf_o.q, tf_o.x1, arm.last)
+    return idx, concat_paths([stem, subpath(arm, arm.last, a)])
 
 
 def _interior_landings(tf_o: TerminalFan, af: ApexFan) -> list[tuple[Path, int, int]]:
     """Landings away from x1, tagged with the index of their Q-path."""
-    out = []
-    for arm, w in af.landings:
-        if w == tf_o.x1:
-            continue
-        idx = next(i for i, q in enumerate(tf_o.q) if w in q)
-        out.append((arm, w, idx))
-    return out
+    tagged = [(arm, w, _arm_index(tf_o.q, tf_o.x1, w)) for arm, w in af.landings]
+    return [t for t in tagged if t[2] is not None]
 
 
 def crossing_assembly(
@@ -219,6 +251,8 @@ def crossing_assembly(
     starts on one) and p stays free for the pendant.  Returns None when
     no stretch exists; exactly then the landmark ordering is forced, so
     this case eats every instance the later assemblies cannot express.
+    With no landing arms and an l that misses p this is the claim 1
+    assembly, and the stretch always exists.
     """
     tf_o = oriented_terminal_fan(tf, af)
     x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
@@ -227,13 +261,8 @@ def crossing_assembly(
     if l.first != x1:
         l = l.reverse()
     vs = l.vertices
-    qset = _q_vertices(tf_o)
-    qwset = set(qset)
-    for arm, _ in af.landings:
-        qwset.update(arm.vertices)
-    rset: set[int] = set()
-    for arm in tf_o.r:
-        rset.update(arm.vertices)
+    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
+    rset = _vertices(tf_o.r)
     pset = set(af.p.vertices)
     found = None
     for j, vj in enumerate(vs):
@@ -248,39 +277,20 @@ def crossing_assembly(
     if found is None:
         return None
     i, j = found
-    a, b = vs[i], vs[j]
-    seg = Path(vs[i : j + 1])
-    rj_idx = None if b == x3 else next(k for k, r in enumerate(tf_o.r) if b in r)
-    rb_idx = min(k for k in range(3) if k != rj_idx)
-    r_stem = subpath(tf_o.r[rj_idx], b, x3) if rj_idx is not None else Path((x3,))
     try:
-        if a in qset:
-            qi_idx = None if a == x1 else next(k for k, q in enumerate(tf_o.q) if a in q)
-            qa_idx = min(k for k in range(3) if k != qi_idx)
-            q_stem = subpath(tf_o.q[qi_idx], x1, a) if qi_idx is not None else Path((x1,))
-            cycle = concat_paths(
-                [tf_o.q[qa_idx], q_stem, seg, r_stem, tf_o.r[rb_idx].reverse()]
-            )
-        else:
-            arm_a = next(arm for arm, _ in af.landings if a in arm)
-            w_m = arm_a.last
-            qm_idx = None if w_m == x1 else next(k for k, q in enumerate(tf_o.q) if w_m in q)
-            qk_idx = min(k for k in range(3) if k != qm_idx)
-            q_stem = subpath(tf_o.q[qm_idx], x1, w_m) if qm_idx is not None else Path((x1,))
-            cycle = concat_paths(
-                [
-                    tf_o.q[qk_idx],
-                    q_stem,
-                    subpath(arm_a, w_m, a),
-                    seg,
-                    r_stem,
-                    tf_o.r[rb_idx].reverse(),
-                ]
-            )
+        q_idx, q_stem = _contact_stem(tf_o, af, vs[i])
+        r_idx, r_stem = _stem(tf_o.r, x3, vs[j])
+        cycle = concat_paths(
+            [
+                tf_o.q[_other(q_idx)],
+                q_stem,
+                Path(vs[i : j + 1]),
+                r_stem.reverse(),
+                tf_o.r[_other(r_idx)].reverse(),
+            ]
+        )
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"crossing pieces overlap: {exc}") from exc
-    except StopIteration as exc:
-        raise AssemblyFailed("crossing start is off the fans") from exc
     roots = RootQuadruple(x1, x2, x3, x4)
     return _checked(g, roots, cycle, af.p.reverse(), "crossing")
 
@@ -302,12 +312,8 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     vs = l.vertices
     if not (set(vs) & pset):
         raise PreconditionViolated("linkage path misses the apex arm; use claim1_assembly")
-    qwset = _q_vertices(tf_o)
-    for arm, _ in af.landings:
-        qwset.update(arm.vertices)
-    rset: set[int] = set()
-    for arm in tf_o.r:
-        rset.update(arm.vertices)
+    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
+    rset = _vertices(tf_o.r)
     iu = max(i for i, v in enumerate(vs) if v in qwset)
     phits = [i for i, v in enumerate(vs) if v in pset]
     after = [i for i in phits if i > iu]
@@ -325,16 +331,17 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     if any(vs[i] in rset for i in range(iu + 1, iuprime)):
         raise OrderingViolated("an R-vertex intrudes into L[u, u']")
     w = vs[iw]
-    r1_index = next(i for i, arm in enumerate(tf_o.r) if w in arm)
-    r2 = next(tf_o.r[i] for i in range(3) if i != r1_index)
+    r1_index, r_stem = _stem(tf_o.r, x3, w)
+    if r1_index is None:  # w = x3 ends every R-path; the first serves as R1
+        r1_index = 0
     try:
         t_path = concat_paths(
             [
                 Path(vs[iu : iuprime + 1]),
                 subpath(af.p, vs[iuprime], vs[iv]),
                 Path(vs[iv : iw + 1]),
-                subpath(tf_o.r[r1_index], w, x3),
-                r2.reverse(),
+                r_stem.reverse(),
+                tf_o.r[_other(r1_index)].reverse(),
             ]
         )
     except _SPLICE_ERRORS as exc:
@@ -359,44 +366,15 @@ def _checked(g: Graph, roots: RootQuadruple, cycle, pendant, stage: str) -> Kite
 def claim1_assembly(g: Graph, tf: TerminalFan, p: Path, pprime: Path) -> KiteSubdivision:
     """Assembly for the case where the x1-x3 path avoids p entirely.
 
-    Walking pprime from x1, the stretch between its last Q-vertex before
-    the first R-vertex and that R-vertex crosses from the Q side to the
-    R side while dodging both; closing it through unused fan arms gives
-    the cycle, and p (reversed) is the pendant.
+    This is the crossing assembly with no landing arms.  Walking pprime
+    from x1, the stretch between its last Q-vertex before the first
+    R-vertex and that R-vertex crosses from the Q side to the R side
+    while dodging both; closing it through unused fan arms gives the
+    cycle, and p (reversed) is the pendant.
     """
     if set(p.vertices) & set(pprime.vertices):
         raise PreconditionViolated("bypass path touches the pendant arm")
-    x1, x2, x3 = tf.x1, tf.hub, tf.x3
-    if {pprime.first, pprime.last} != {x1, x3}:
-        raise PreconditionViolated("bypass path must join x1 and x3")
-    if pprime.first != x1:
-        pprime = pprime.reverse()
-    qset = _q_vertices(tf)
-    rset: set[int] = set()
-    for arm in tf.r:
-        rset.update(arm.vertices)
-    vs = pprime.vertices
-    ib = next(i for i, v in enumerate(vs) if v in rset)
-    ia = max(i for i in range(ib) if vs[i] in qset)
-    ustar, wstar = vs[ia], vs[ib]
-    i_idx = None if ustar == x1 else next(i for i, q in enumerate(tf.q) if ustar in q)
-    j_idx = None if wstar == x3 else next(j for j, r in enumerate(tf.r) if wstar in r)
-    a_idx = min(i for i in range(3) if i != i_idx)
-    b_idx = min(j for j in range(3) if j != j_idx)
-    try:
-        cycle = concat_paths(
-            [
-                tf.q[a_idx],
-                subpath(tf.q[i_idx], x1, ustar) if i_idx is not None else Path((x1,)),
-                Path(vs[ia : ib + 1]),
-                subpath(tf.r[j_idx], wstar, x3) if j_idx is not None else Path((x3,)),
-                tf.r[b_idx].reverse(),
-            ]
-        )
-    except _SPLICE_ERRORS as exc:
-        raise AssemblyFailed(f"claim1 pieces overlap: {exc}") from exc
-    roots = RootQuadruple(x1, x2, x3, tf.x4)
-    return _checked(g, roots, cycle, p.reverse(), "claim1")
+    return crossing_assembly(g, tf, ApexFan(p, (), "kept"), pprime)
 
 
 def claim2_assembly(
@@ -413,33 +391,16 @@ def claim2_assembly(
     spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) < 2:
         return None
-    u = lm.u
-    qset = _q_vertices(tf_o)
     try:
-        if u in qset:
-            u_idx = None if u == x1 else next(i for i, q in enumerate(tf_o.q) if u in q)
-            l_idx = next(i for i in spanned if i != u_idx)
-            k_idx = min(set(range(3)) - {l_idx} - ({u_idx} if u_idx is not None else set()))
-            stem = subpath(tf_o.q[u_idx], x1, u) if u_idx is not None else Path((x1,))
-            cycle = concat_paths([tf_o.q[k_idx], stem, lm.t_path])
-        else:
-            arm_u = next(arm for arm, _ in af.landings if u in arm)
-            w_m = arm_u.last
-            m_idx = None if w_m == x1 else next(i for i, q in enumerate(tf_o.q) if w_m in q)
-            l_idx = next(i for i in spanned if i != m_idx)
-            k_idx = min(set(range(3)) - {l_idx} - ({m_idx} if m_idx is not None else set()))
-            stem = subpath(tf_o.q[m_idx], x1, w_m) if m_idx is not None else Path((x1,))
-            cycle = concat_paths(
-                [tf_o.q[k_idx], stem, subpath(arm_u, w_m, u), lm.t_path]
-            )
+        u_idx, stem = _contact_stem(tf_o, af, lm.u)
+        l_idx = next(i for i in spanned if i != u_idx)
+        cycle = concat_paths([tf_o.q[_other(l_idx, u_idx)], stem, lm.t_path])
         arm_l, w_l, _ = next(t for t in interior if t[2] == l_idx)
         pendant = concat_paths(
             [subpath(tf_o.q[l_idx], x2, w_l), subpath(arm_l, w_l, x4)]
         )
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim2 pieces overlap: {exc}") from exc
-    except StopIteration as exc:
-        raise AssemblyFailed("claim2 could not place u on the fans") from exc
     roots = RootQuadruple(x1, x2, tf_o.x3, x4)
     return _checked(g, roots, cycle, pendant, "claim2")
 
@@ -474,25 +435,17 @@ def claim3_assembly(
         arm1, w1 = ws[0]
         u = lm.u
         pendant = concat_paths([subpath(q1, x2, w1), subpath(arm1, w1, x4)])
+        closing = rest[1]
         if u in q1:
             if all(q1.index(w) >= q1.index(u) for _, w in ws):
                 return None
-            cycle = concat_paths([rest[1], subpath(q1, x1, u), lm.t_path])
         elif any(u in q for q in rest):
-            qj = next(q for q in rest if u in q)
-            qk = next(q for q in rest if u not in q)
-            cycle = concat_paths([qk, subpath(qj, x1, u), lm.t_path])
-        else:
-            arm_u = next(arm for arm, _ in af.landings if u in arm)
-            if arm_u.last == w1:
-                return None
-            cycle = concat_paths(
-                [rest[1], subpath(q1, x1, arm_u.last), subpath(arm_u, arm_u.last, u), lm.t_path]
-            )
+            closing = next(q for q in rest if u not in q)
+        elif _landing_arm(af, u).last == w1:
+            return None
+        cycle = concat_paths([closing, _contact_stem(tf_o, af, u)[1], lm.t_path])
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim3 pieces overlap: {exc}") from exc
-    except StopIteration as exc:
-        raise AssemblyFailed("claim3 could not place u on the fans") from exc
     roots = RootQuadruple(x1, x2, tf_o.x3, x4)
     return _checked(g, roots, cycle, pendant, "claim3")
 
@@ -558,6 +511,8 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
         raise FlowerInvalid("a flower cycle did not close")
     if not isinstance(p3, Path):
         raise FlowerInvalid("the x3 spoke closed on itself")
+    if af.side == "swapped":  # back to the caller's x1 and x3
+        x1, x3, c1, c2, p1, p3, v1, v3 = x3, x1, c2, c1, p3, p1, v3, v1
     flower = Flower(
         RootQuadruple(x1, x2, x3, x4),
         c1.vertices,
@@ -570,19 +525,6 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
         v2,
         v3,
     )
-    if af.side == "swapped":
-        flower = Flower(
-            RootQuadruple(tf.x1, tf.hub, tf.x3, tf.x4),
-            flower.c2,
-            flower.c1,
-            flower.c3,
-            flower.p3,
-            flower.p2,
-            flower.p1,
-            flower.v3,
-            flower.v2,
-            flower.v1,
-        )
     verdict = verify_flower(g, flower)
     if not verdict:
         raise FlowerInvalid(f"flower failed verification: {verdict.reason}")

@@ -142,6 +142,20 @@ def connected_avoiding(g: Graph, a: int, b: int, banned: int) -> bool:
     return False
 
 
+def _edge_key(u: int, v: int, n: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """Edge u-v as stored, (min, max), after adding it to seen; rejects
+    an endpoint outside 0..n-1, a loop and an edge already in seen."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+    if u == v:
+        raise LoopEdge(f"loop at vertex {u}")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
+    seen.add(key)
+    return key
+
+
 def _parse_int(tok: str, what: str) -> int:
     try:
         return int(tok)
@@ -180,15 +194,7 @@ def parse_graph(text: str) -> Graph:
             raise MalformedLine(f"edge line must be 'u v', got {line!r}")
         u = _parse_int(parts[0], "edge endpoint")
         v = _parse_int(parts[1], "edge endpoint")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-        seen.add(key)
-        edges.append(key)
+        edges.append(_edge_key(u, v, n, seen))
         taken += 1
     for rest in lines[idx:]:
         if rest.strip():
@@ -222,15 +228,7 @@ def parse_graph_json(obj: object) -> Graph:
         u, v = item
         if not (isinstance(u, int) and isinstance(v, int)):
             raise MalformedLine(f"edge entry {item!r} must hold integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-        seen.add(key)
-        edges.append(key)
+        edges.append(_edge_key(u, v, n, seen))
     return Graph(n, edges)
 
 

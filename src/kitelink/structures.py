@@ -81,7 +81,9 @@ class KiteSubdivision:
         }
 
 
-def kite_from_json(obj: dict) -> tuple[RootQuadruple, KiteSubdivision]:
+def kite_from_json(obj: object) -> tuple[RootQuadruple, KiteSubdivision]:
+    if not isinstance(obj, dict):
+        raise MalformedLine("kite JSON must be an object")
     for key in ("roots", "cycle", "pendant"):
         if key not in obj:
             raise MalformedLine(f"kite JSON lacks {key!r}")
@@ -92,9 +94,11 @@ def kite_from_json(obj: dict) -> tuple[RootQuadruple, KiteSubdivision]:
         rq = RootQuadruple(*[int(r) for r in roots])
     except (TypeError, ValueError):
         raise MalformedLine(f"bad roots {roots!r}") from None
-    cyc = tuple(int(v) for v in obj["cycle"])
-    pen = tuple(int(v) for v in obj["pendant"])
-    return rq, KiteSubdivision(cyc, pen)
+    for key in ("cycle", "pendant"):
+        part = obj[key]
+        if not (isinstance(part, (list, tuple)) and all(isinstance(v, int) for v in part)):
+            raise MalformedLine(f"kite JSON {key!r} must list integer vertices")
+    return rq, KiteSubdivision(tuple(obj["cycle"]), tuple(obj["pendant"]))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from kitelink.cli import main
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph, format_graph, graph_as_json
@@ -71,6 +73,14 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, "conn", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, "conn", "/nonexistent/graph.txt")
     assert code == 2
@@ -93,6 +103,13 @@ def test_fan_reports_absence(tmp_path, capsys):
     code, out, _ = _run(capsys, "fan", path, "0", "4,5", "2")
     assert code == 1
     assert json.loads(out) == {"found": False}
+
+
+def test_fan_rejects_non_integer_targets(tmp_path, capsys):
+    path = _write_graph(tmp_path, gen_complete_minus_matching(8, 0))
+    code, out, err = _run(capsys, "fan", path, "0", "a,b", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: targets 'a,b' are not comma-separated integers\n"
 
 
 def test_link2_finds_disjoint_paths(tmp_path, capsys):
@@ -124,6 +141,24 @@ def test_kite_find_verify_roundtrip(tmp_path, capsys):
     code, out, _ = _run(capsys, "kite", "verify", gpath, str(kpath))
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "{not json",
+        "5",
+        '{"roots": [0, 1, 2, 3], "cycle": null, "pendant": [1, 3]}',
+        '{"roots": [0, 1, 2, 3], "cycle": ["x", 1, 2], "pendant": [1, 3]}',
+    ],
+)
+def test_kite_verify_malformed_kite_file_exits_2(tmp_path, capsys, payload):
+    gpath = _write_graph(tmp_path, gen_complete_minus_matching(8, 0))
+    kpath = tmp_path / "kite.json"
+    kpath.write_text(payload)
+    code, out, err = _run(capsys, "kite", "verify", gpath, str(kpath))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_kite_verify_rejects_corrupted_witness(tmp_path, capsys):

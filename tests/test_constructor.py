@@ -5,10 +5,12 @@ assemblies (single-sided landings, flowers) are driven by hand-laid
 fan/linkage fixtures where every path is pinned down explicitly.
 """
 
+import hashlib
 import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -30,10 +32,12 @@ from kitelink.errors import (
     ConstructionFailed,
     FlowerInvalid,
     FlowerResolutionExhausted,
+    InvariantViolation,
     NoSevenFan,
     NotSevenConnected,
     OrderingViolated,
     PreconditionViolated,
+    StageFailure,
 )
 from kitelink.fans import (
     TerminalFan,
@@ -43,6 +47,7 @@ from kitelink.fans import (
 )
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
+from kitelink.linkage import two_linkage
 from kitelink.oracle import find_kite_exhaustive
 from kitelink.paths import Path
 from kitelink.structures import Flower, RootQuadruple, verify_flower, verify_kite
@@ -257,6 +262,21 @@ def test_crossing_assembly_direct_edge_between_corners():
 def test_crossing_assembly_declines_orderly_linkage():
     g, tf, af = _two_sided_fixture()
     assert crossing_assembly(g, tf, af, Path((0, 6, 10, 7, 2))) is None
+
+
+def test_assemblies_report_a_landing_off_the_fans_as_stage_failure():
+    # A landing arm ending on R is an inconsistent apex fan.  Each
+    # assembly must raise a StageFailure, which find_kite falls back
+    # from, and never let a failed lookup escape as StopIteration.
+    g, tf, af = _two_sided_fixture()
+    lm = compute_landmarks(Path((0, 6, 10, 7, 2)), tf, af)
+    bad = ApexFan(af.p, ((Path((3, 12, 8)), 8),) + af.landings[1:], "kept")
+    assert issubclass(InvariantViolation, StageFailure)
+    with pytest.raises(InvariantViolation):
+        crossing_assembly(g, tf, bad, Path((0, 12, 8, 2)))
+    for assembly in (claim2_assembly, claim3_assembly, build_flower):
+        with pytest.raises(InvariantViolation):
+            assembly(g, tf, bad, lm)
 
 
 # ------------------------------------------------------- claim assemblies
@@ -560,12 +580,15 @@ def test_find_kite_options_reject_nonpositive_budget():
             FindKiteOptions(budget=budget)
 
 
+def _circulant(n, offsets):
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in offsets}
+    return Graph(n, sorted(edges))
+
+
 def test_find_kite_reaches_flower_on_circulant():
     # C26(1,2,3,4) is 8-connected; of 4,800 sampled root choices on
     # sparse circulants, only these roots needed the flower stage.
-    n = 26
-    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2, 3, 4)}
-    g = Graph(n, sorted(edges))
+    g = _circulant(26, (1, 2, 3, 4))
     res = find_kite(g, RootQuadruple(23, 0, 17, 9))
     assert res.as_json() == {
         "roots": [23, 0, 17, 9],
@@ -573,6 +596,70 @@ def test_find_kite_reaches_flower_on_circulant():
         "pendant": [0, 3, 2, 1, 5, 9],
         "stage": "flower",
     }
+
+
+def test_find_kite_reaches_claim3_on_circulant():
+    # These roots reach claim3 in about a millisecond.  Roots
+    # (28, 13, 12, 5) on the same host reach it too, but only after a
+    # 2 s two_linkage call.
+    g = _circulant(30, (1, 2, 4, 7))
+    res = find_kite(g, RootQuadruple(9, 24, 19, 18), FindKiteOptions(try_direct=False))
+    assert res.as_json() == {
+        "roots": [9, 24, 19, 18],
+        "cycle": [5, 9, 8, 15, 16, 17, 19, 23, 24, 28],
+        "pendant": [24, 22, 18],
+        "stage": "claim3",
+    }
+
+
+def _assembly_corpus():
+    """Root choices over sparse circulants and K9 minus a 4-matching.
+
+    30 seeded roots on each of C_n(1,2,3,4), C_n(1,2,4,7) and
+    C_n(1,3,5,7) for n in {20, 26, 30}; with seed 2000 + n every
+    two_linkage call returns within a few milliseconds, clear of its
+    known tail.  Then every third root choice on K9 minus a 4-matching,
+    and the claim3 and flower instances above.
+    """
+    for n in (20, 26, 30):
+        for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
+            g = _circulant(n, offsets)
+            rng = random.Random(2000 + n)
+            for _ in range(30):
+                yield g, RootQuadruple(*rng.sample(range(n), 4))
+    g = gen_complete_minus_matching(9, 4)
+    for quad in itertools.islice(itertools.permutations(range(9), 4), 0, None, 3):
+        yield g, RootQuadruple(*quad)
+    yield _circulant(30, (1, 2, 4, 7)), RootQuadruple(9, 24, 19, 18)
+    yield _circulant(26, (1, 2, 3, 4)), RootQuadruple(23, 0, 17, 9)
+
+
+def _assembly_path(g, roots, stage):
+    """The assembly behind a pipeline stage.  find_kite labels both the
+    claim 1 and the crossing assembly claim1; the pipeline picks the
+    crossing assembly exactly when the linkage path meets the apex arm."""
+    if stage != "claim1":
+        return stage
+    af = apex_fan(g, terminal_fan(g, roots))
+    l = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4).l
+    return "crossing" if set(l.vertices) & set(af.p.vertices) else "claim1"
+
+
+def test_find_kite_assemblies_match_golden_digest():
+    # sha256 over repr((stage, kite)) of every root choice, computed
+    # before the assemblies shared their fan-geometry helpers.
+    opts = FindKiteOptions(try_direct=False)
+    digest = hashlib.sha256()
+    paths = Counter()
+    for g, roots in _assembly_corpus():
+        res = find_kite(g, roots, opts)
+        assert res.diagnostics == ()
+        digest.update(repr((res.stage, res.kite)).encode())
+        paths[_assembly_path(g, roots, res.stage)] += 1
+    assert paths == {"claim1": 1073, "crossing": 158, "claim2": 47, "claim3": 1, "flower": 1}
+    assert digest.hexdigest() == (
+        "07e78052752e528d62f63ff76a7c9e0eed391a3b49cd2e417c5df7016ce706ef"
+    )
 
 
 def test_find_kite_is_deterministic():

@@ -88,6 +88,23 @@ def test_json_roundtrip_and_rejections():
         parse_graph_json({"n": 3, "edges": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([(0, 3)], VertexOutOfRange, "edge (0, 3) outside 0..2"),
+        ([(2, 2)], LoopEdge, "loop at vertex 2"),
+        ([(0, 1), (1, 0)], DuplicateEdge, "edge (1, 0) listed twice"),
+    ],
+)
+def test_both_parsers_reject_bad_edges_alike(edges, error, message):
+    text = f"3 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    obj = {"n": 3, "edges": [list(e) for e in edges]}
+    for parse, source in ((parse_graph, text), (parse_graph_json, obj)):
+        with pytest.raises(error) as exc:
+            parse(source)
+        assert str(exc.value) == message
+
+
 def test_connected_avoiding_on_path_graph():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert connected_avoiding(g, 0, 4, 0)
