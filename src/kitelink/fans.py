@@ -128,7 +128,7 @@ def find_fan(g: Graph, x: int, s: frozenset[int] | set[int], k: int) -> Fan | No
     _validate_fan_args(g, x, s, k)
     net = g.split_network()
     cap = net.residual(dict.fromkeys(s, 1))
-    if net.max_flow(cap, x, k) < k:
+    if net.max_flow(cap, x, s, k) < k:
         return None
     return Fan(x, tuple(_sorted_arms(net.arms(cap, x))))
 
@@ -144,7 +144,7 @@ def extend_fan(
     never lowers the flow into the sink, so every base endpoint keeps
     its arm, and augmenting from any flow reaches the maximum, so
     pinning loses nothing.  apex_fan, its main caller, takes a median
-    0.23 ms on random 7-connected 40-vertex graphs on a 2-core Xeon.
+    0.093 ms on random 7-connected 40-vertex graphs on a 2-core Xeon.
     """
     s = frozenset(s)
     _validate_fan_args(g, x, s, k)
@@ -157,7 +157,7 @@ def extend_fan(
     cap = net.residual(dict.fromkeys(s, 1))
     for arm in base.arms:
         net.route(cap, arm.vertices)
-    if net.max_flow(cap, x, k - base.k) < k - base.k:
+    if net.max_flow(cap, x, s, k - base.k) < k - base.k:
         return None
     fan = Fan(x, tuple(_sorted_arms(net.arms(cap, x))))
     missing = set(base.endpoints()) - set(fan.endpoints())
@@ -169,14 +169,14 @@ def extend_fan(
 def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     """Seven internally disjoint paths from x2: three to x1, three to x3,
     one to x4.  None when the graph cannot host them.  On random
-    7-connected 40-vertex graphs it takes a median 0.38 ms on a 2-core
+    7-connected 40-vertex graphs it takes a median 0.055 ms on a 2-core
     Xeon, the graph's split network already built."""
     if not roots.in_range(g.n):
         raise PreconditionViolated("roots outside graph")
     x1, x2, x3, x4 = roots.as_tuple()
     net = g.split_network()
     cap = net.residual({x1: 3, x3: 3, x4: 1})
-    if net.max_flow(cap, x2, 7) < 7:
+    if net.max_flow(cap, x2, (x1, x3, x4), 7) < 7:
         return None
     paths = sorted((Path(a) for a in net.arms(cap, x2)), key=lambda p: p.vertices)
     q = tuple(p for p in paths if p.last == x1)
@@ -195,10 +195,12 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     v from one of its non-neighbours, or contains v, and then splits two
     non-adjacent neighbours of v.  So n - 1 - deg(v) flows from v plus
     one flow per non-adjacent pair of its neighbours suffice, all on the
-    graph's SplitNetwork.  On a 2-core Xeon the circulant C80(1,2,3,4)
-    takes about 0.04 s; dense graphs pay for the deg(v)^2 neighbour
-    pairs, and gen_random_kconnected(80, 7, 1), of connectivity 32,
-    takes about 1.9 s.  Complete graphs get k = n - 1 and no cut.
+    graph's SplitNetwork, where each flow routes the pair's paths
+    through common neighbours before it augments.  On a 2-core Xeon the
+    circulant C80(1,2,3,4) takes about 0.04 s; dense graphs pay for the
+    deg(v)^2 neighbour pairs, and gen_random_kconnected(80, 7, 1), of
+    connectivity 32, takes about 0.6 s.  Complete graphs get k = n - 1
+    and no cut.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -215,7 +217,7 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     best_cut: frozenset[int] | None = None
     for s, t in pairs:
         cap = net.residual({t: best})
-        value = net.max_flow(cap, s, best)
+        value = net.max_flow(cap, s, (t,), best)
         if value < best:
             best, best_cut = value, net.min_cut(cap, s, t)
     if best_cut is None or len(best_cut) != best:
@@ -233,7 +235,7 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
     C(k, 2) + n - k flows of at most k augmentations each, all on the
     graph's SplitNetwork.  On a 2-core Xeon,
     gen_random_kconnected(80, 7, s), which is mostly this check, takes
-    about 0.01 s.
+    about 5 ms.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -252,11 +254,11 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
         for s in range(t):
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            if net.max_flow(net.residual({t: k}), s, k) < k:
+            if net.max_flow(net.residual({t: k}), s, (t,), k) < k:
                 return False
     for j in range(k, g.n):
         if bisect_left(g.neighbors(j), j) >= k:
             continue
-        if net.max_flow(net.residual(dict.fromkeys(range(j), 1)), j, k) < k:
+        if net.max_flow(net.residual(dict.fromkeys(range(j), 1)), j, range(j), k) < k:
             return False
     return True

@@ -44,8 +44,8 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     graph.  A candidate of minimum degree below k is rejected from its
     edge list, before a Graph is built.  The graph returned keeps the
     split network the check built, so later fan queries on it reuse it.
-    On a 2-core Xeon it takes about 0.8 ms at n = 14, 3 ms at n = 40
-    and 10 ms at n = 80 (k = 7).
+    On a 2-core Xeon it takes about 0.7 ms at n = 14, 1.5 ms at n = 40
+    and 5 ms at n = 80 (k = 7).
     """
     if n < k + 1:
         raise PreconditionViolated(f"no graph on {n} vertices is {k}-connected")

@@ -5,8 +5,11 @@ first path with a connectivity prune and memoized dead states, so it is
 complete (never a false NotFound) though exponential in the worst case.
 Every 6-connected graph admits the linkage, which is the regime the kite
 pipeline calls it in.  There the search is usually fast but has a heavy
-tail: on the circulant C30(1,2,4,7) with terminals (28,12) and (13,5) it
-makes about 884k ``grow`` calls and takes 2-3 s on a 2-core Xeon.
+tail, and no budget bounds it: on the circulant C30(1,2,4,7) with
+terminals (28,12) and (13,5) (find_kite roots (28,13,12,5)) it makes
+about 884k ``grow`` calls and takes 2-3 s on a 2-core Xeon, and the
+worst case known, C34(1,2,4,7) with terminals (30,31) and (10,4)
+(roots (30,10,31,4)), takes 23.9-26 s there.
 
 ``two_linkage_oracle`` is an intentionally separate brute-force
 enumeration of both paths used to cross-check the solver.

@@ -90,10 +90,9 @@ def kite_from_json(obj: object) -> tuple[RootQuadruple, KiteSubdivision]:
     roots = obj["roots"]
     if not (isinstance(roots, (list, tuple)) and len(roots) == 4):
         raise MalformedLine("kite JSON 'roots' must list four vertices")
-    try:
-        rq = RootQuadruple(*[int(r) for r in roots])
-    except (TypeError, ValueError):
-        raise MalformedLine(f"bad roots {roots!r}") from None
+    if not all(isinstance(r, int) for r in roots):
+        raise MalformedLine(f"kite JSON 'roots' must list integer vertices, got {roots!r}")
+    rq = RootQuadruple(*roots)
     for key in ("cycle", "pendant"):
         part = obj[key]
         if not (isinstance(part, (list, tuple)) and all(isinstance(v, int) for v in part)):

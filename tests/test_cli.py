@@ -150,6 +150,7 @@ def test_kite_find_verify_roundtrip(tmp_path, capsys):
         "5",
         '{"roots": [0, 1, 2, 3], "cycle": null, "pendant": [1, 3]}',
         '{"roots": [0, 1, 2, 3], "cycle": ["x", 1, 2], "pendant": [1, 3]}',
+        '{"roots": [0, 1, 2, 3.9], "cycle": [0, 1, 2], "pendant": [1, 3]}',
     ],
 )
 def test_kite_verify_malformed_kite_file_exits_2(tmp_path, capsys, payload):

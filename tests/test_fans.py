@@ -19,6 +19,7 @@ from kitelink.errors import (
 from kitelink.fans import (
     CutCertificate,
     Fan,
+    TerminalFan,
     check_fan,
     extend_fan,
     find_fan,
@@ -26,6 +27,7 @@ from kitelink.fans import (
     terminal_fan,
     vertex_connectivity,
 )
+from kitelink.flow import exit_
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.paths import Path
@@ -328,3 +330,108 @@ _FAN_DIGESTS = {
 def test_fan_arms_match_golden_digests(host):
     g, root_choices = _golden_fan_host(host)
     assert _fan_digest(g, root_choices) == _FAN_DIGESTS[host]
+
+
+# Reference queries: each fan and connectivity query as it ran before
+# max_flow routed the short arms first, every unit by augmentation.
+def _augment_only(net, cap, x: int, limit: int) -> int:
+    sent = 0
+    while sent < limit and net.augment(cap, exit_(x)):
+        sent += 1
+    return sent
+
+
+def _reference_terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
+    x1, x2, x3, x4 = roots.as_tuple()
+    net = g.split_network()
+    cap = net.residual({x1: 3, x3: 3, x4: 1})
+    if _augment_only(net, cap, x2, 7) < 7:
+        return None
+    paths = sorted((Path(a) for a in net.arms(cap, x2)), key=lambda p: p.vertices)
+    q = tuple(p for p in paths if p.last == x1)
+    r = tuple(p for p in paths if p.last == x3)
+    return TerminalFan(x2, q, r, next(p for p in paths if p.last == x4))
+
+
+def _reference_extend_fan(g: Graph, x: int, s: frozenset[int], base: Fan, k: int) -> Fan | None:
+    net = g.split_network()
+    cap = net.residual(dict.fromkeys(s, 1))
+    for arm in base.arms:
+        net.route(cap, arm.vertices)
+    if _augment_only(net, cap, x, k - base.k) < k - base.k:
+        return None
+    arms = sorted((Path(a) for a in net.arms(cap, x)), key=lambda p: (p.last, p.vertices))
+    return Fan(x, tuple(arms))
+
+
+def _reference_connectivity(g: Graph) -> CutCertificate:
+    if g.is_complete():
+        return CutCertificate(g.n - 1, None)
+    net = g.split_network()
+    v = min(g.vertices(), key=g.degree)
+    nbrs = g.neighbors(v)
+    pairs = [(v, w) for w in g.vertices() if w != v and not g.has_edge(v, w)]
+    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if not g.has_edge(a, b)]
+    best, best_cut = g.n - 1, None
+    for s, t in pairs:
+        cap = net.residual({t: best})
+        value = _augment_only(net, cap, s, best)
+        if value < best:
+            best, best_cut = value, net.min_cut(cap, s, t)
+    return CutCertificate(best, best_cut)
+
+
+def _equivalence_hosts(family: str) -> list[Graph]:
+    if family == "random40":
+        return [gen_random_kconnected(40, 7, s) for s in (3, 4)]
+    if family == "random12-30":
+        return [gen_random_kconnected(n, 7, 200 + n) for n in (12, 16, 20, 25, 30)]
+    if family == "circulant":
+        return [_circulant(n, st) for n in (16, 34) for st in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7))]
+    rng = random.Random(17)  # sparse, so not 7-connected
+    return [_random_graph(rng, rng.randint(14, 24), rng.choice((0.2, 0.3))) for _ in range(8)]
+
+
+@pytest.mark.parametrize("family", ["random40", "random12-30", "circulant", "sparse"])
+def test_fans_and_connectivity_match_augmentation_alone(family):
+    none_answers = 0
+    for i, g in enumerate(_equivalence_hosts(family)):
+        assert repr(vertex_connectivity(g)) == repr(_reference_connectivity(g))
+        for roots in _sampled_roots(g.n, 300 + i, 40):
+            tf = terminal_fan(g, roots)
+            assert repr(tf) == repr(_reference_terminal_fan(g, roots))
+            if tf is None:
+                none_answers += 1
+                continue
+            # apex_fan's extension of the x4 arm into the terminal fan
+            s = frozenset(v for arm in tf.q + tf.r for v in arm.vertices)
+            base = Fan(tf.x4, (tf.s.reverse(),))
+            fan = extend_fan(g, tf.x4, s, base, 7)
+            assert repr(fan) == repr(_reference_extend_fan(g, tf.x4, s, base, 7))
+            none_answers += fan is None
+    assert (none_answers > 0) == (family == "sparse")
+
+
+def test_extend_fan_matches_augmentation_alone_on_random_bases():
+    # When x is adjacent to a base-arm vertex past that arm's first step,
+    # residual reverse arcs give rerouting paths as short as the two-edge
+    # arms, so the short-arm sweep must stop there; count those bases.
+    rng = random.Random(23)
+    rerouting_bases = 0
+    for _ in range(400):
+        n = rng.randint(8, 22)
+        g = _random_graph(rng, n, rng.choice((0.3, 0.45, 0.6, 0.8)))
+        x = rng.randrange(n)
+        pool = [v for v in range(n) if v != x]
+        s = frozenset(rng.sample(pool, rng.randint(1, len(pool) // 2 + 1)))
+        sub = Graph(n, [e for e in g.edges if rng.random() < 0.4])
+        found = find_fan(sub, x, s, rng.randint(1, min(7, len(s))))
+        if found is None:
+            continue
+        base = Fan(x, tuple(a for a in found.arms if rng.random() < 0.7) or found.arms[:1])
+        past_first_step = {v for arm in base.arms for v in arm.vertices[2:]}
+        rerouting_bases += any(g.has_edge(x, v) for v in past_first_step)
+        for k in range(base.k, len(s) + 1):
+            fan = extend_fan(g, x, s, base, k)
+            assert repr(fan) == repr(_reference_extend_fan(g, x, s, base, k))
+    assert rerouting_bases >= 40

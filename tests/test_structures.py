@@ -55,6 +55,8 @@ def test_kite_json_roundtrip():
         {"roots": [0, 1, 2, 3], "cycle": [0, 1, 2]},
         {"cycle": [0, 1, 2], "pendant": [1, 3]},
         {"roots": [0, 1, 2, "x"], "cycle": [0, 1, 2], "pendant": [1, 3]},
+        {"roots": [0, 1, 2, 3.9], "cycle": [0, 1, 2], "pendant": [1, 3]},
+        {"roots": ["0", "1", "2", "3"], "cycle": [0, 1, 2], "pendant": [1, 3]},
         5,
         [0, 1, 2],
         {"roots": [0, 1, 2, 3], "cycle": None, "pendant": [1, 3]},
