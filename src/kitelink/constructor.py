@@ -4,12 +4,14 @@ a rooted kite subdivision.
 The route mirrors the existence proof read forwards.  A 7-fan from x2
 splits into three arms to x1 (Q), three to x3 (R) and one to x4.  The
 x4 arm is grown into a second 7-fan whose landing pattern on the Q side
-drives a case analysis: either a 2-linkage path L from x1 to x3 misses
-the x4-x2 arm P entirely (direct assembly), or landmark vertices on L
-feed one of three assembly cases, and when every case declines the
-pieces form a flower which a seeded search resolves.  Every candidate is
-verified before being returned; any internal assertion failure falls
-back to exhaustive search and is recorded as a diagnostic.
+drives a case analysis, which `assemble` runs on any x1-x3 path L that
+some x2-x4 path avoids: the claim 1 assembly when L misses the x4-x2
+arm P, else the crossing assembly when a stretch of L crosses cleanly
+from the Q side to R, else landmark vertices on L feed claim 2 or
+claim 3, and when both decline the pieces form a flower which a seeded
+search resolves.  find_kite runs it on the path two_linkage returns.
+Every candidate is verified before being returned; any stage failure
+falls back to exhaustive search and is recorded as a diagnostic.
 """
 
 from __future__ import annotations
@@ -240,6 +242,17 @@ def _interior_landings(tf_o: TerminalFan, af: ApexFan) -> list[tuple[Path, int, 
     return [t for t in tagged if t[2] is not None]
 
 
+def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
+    """The oriented terminal fan, l's vertices from x1, and the vertex
+    sets of Q plus the landing arms, of R and of p."""
+    tf_o = oriented_terminal_fan(tf, af)
+    if {l.first, l.last} != {tf_o.x1, tf_o.x3}:
+        raise PreconditionViolated("linkage path must join x1 and x3")
+    vs = l.vertices if l.first == tf_o.x1 else l.reverse().vertices
+    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
+    return tf_o, vs, qwset, _vertices(tf_o.r), set(af.p.vertices)
+
+
 def crossing_assembly(
     g: Graph, tf: TerminalFan, af: ApexFan, l: Path
 ) -> KiteSubdivision | None:
@@ -254,32 +267,18 @@ def crossing_assembly(
     With no landing arms and an l that misses p this is the claim 1
     assembly, and the stretch always exists.
     """
-    tf_o = oriented_terminal_fan(tf, af)
-    x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
-    if {l.first, l.last} != {x1, x3}:
-        raise PreconditionViolated("linkage path must join x1 and x3")
-    if l.first != x1:
-        l = l.reverse()
-    vs = l.vertices
-    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
-    rset = _vertices(tf_o.r)
-    pset = set(af.p.vertices)
-    found = None
+    tf_o, vs, qwset, rset, pset = _linkage_frame(tf, af, l)
     for j, vj in enumerate(vs):
         if vj not in rset:
             continue
         i = max(k for k in range(j) if vs[k] in qwset)  # vs[0] = x1 qualifies
-        between = vs[i + 1 : j]
-        if any(v in rset or v in pset for v in between):
-            continue
-        found = (i, j)
-        break
-    if found is None:
+        if not any(v in rset or v in pset for v in vs[i + 1 : j]):
+            break
+    else:
         return None
-    i, j = found
     try:
         q_idx, q_stem = _contact_stem(tf_o, af, vs[i])
-        r_idx, r_stem = _stem(tf_o.r, x3, vs[j])
+        r_idx, r_stem = _stem(tf_o.r, tf_o.x3, vs[j])
         cycle = concat_paths(
             [
                 tf_o.q[_other(q_idx)],
@@ -291,8 +290,7 @@ def crossing_assembly(
         )
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"crossing pieces overlap: {exc}") from exc
-    roots = RootQuadruple(x1, x2, x3, x4)
-    return _checked(g, roots, cycle, af.p.reverse(), "crossing")
+    return _checked(g, tf_o, cycle, af.p.reverse(), "crossing")
 
 
 def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
@@ -302,18 +300,9 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     the structural argument promises; the caller treats that as a stage
     failure and falls back.
     """
-    tf_o = oriented_terminal_fan(tf, af)
-    x1, x3 = tf_o.x1, tf_o.x3
-    if {l.first, l.last} != {x1, x3}:
-        raise PreconditionViolated("linkage path must join x1 and x3")
-    if l.first != x1:
-        l = l.reverse()
-    pset = set(af.p.vertices)
-    vs = l.vertices
+    tf_o, vs, qwset, rset, pset = _linkage_frame(tf, af, l)
     if not (set(vs) & pset):
         raise PreconditionViolated("linkage path misses the apex arm; use claim1_assembly")
-    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
-    rset = _vertices(tf_o.r)
     iu = max(i for i, v in enumerate(vs) if v in qwset)
     phits = [i for i, v in enumerate(vs) if v in pset]
     after = [i for i in phits if i > iu]
@@ -331,7 +320,7 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     if any(vs[i] in rset for i in range(iu + 1, iuprime)):
         raise OrderingViolated("an R-vertex intrudes into L[u, u']")
     w = vs[iw]
-    r1_index, r_stem = _stem(tf_o.r, x3, w)
+    r1_index, r_stem = _stem(tf_o.r, tf_o.x3, w)
     if r1_index is None:  # w = x3 ends every R-path; the first serves as R1
         r1_index = 0
     try:
@@ -351,13 +340,13 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     return Landmarks(vs[iu], vs[iv], w, vs[iuprime], r1_index, t_path)
 
 
-def _checked(g: Graph, roots: RootQuadruple, cycle, pendant, stage: str) -> KiteSubdivision:
+def _checked(g: Graph, tf_o: TerminalFan, cycle, pendant, stage: str) -> KiteSubdivision:
     if not isinstance(cycle, Cycle):
         raise AssemblyFailed(f"{stage}: cycle did not close")
     if not isinstance(pendant, Path):
         raise AssemblyFailed(f"{stage}: pendant is not a path")
     kite = KiteSubdivision.from_parts(cycle, pendant)
-    verdict = verify_kite(g, roots, kite)
+    verdict = verify_kite(g, RootQuadruple(tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4), kite)
     if not verdict:
         raise AssemblyFailed(f"{stage} built an invalid kite: {verdict.reason}")
     return kite
@@ -386,7 +375,7 @@ def claim2_assembly(
     Q-path) and the next case should run.
     """
     tf_o = oriented_terminal_fan(tf, af)
-    x1, x2, x4 = tf_o.x1, tf_o.hub, tf_o.x4
+    x2, x4 = tf_o.hub, tf_o.x4
     interior = _interior_landings(tf_o, af)
     spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) < 2:
@@ -401,8 +390,7 @@ def claim2_assembly(
         )
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim2 pieces overlap: {exc}") from exc
-    roots = RootQuadruple(x1, x2, tf_o.x3, x4)
-    return _checked(g, roots, cycle, pendant, "claim2")
+    return _checked(g, tf_o, cycle, pendant, "claim2")
 
 
 def _ordered_q1_landings(q1: Path, af: ApexFan) -> list[tuple[Path, int]]:
@@ -422,7 +410,7 @@ def claim3_assembly(
     flower is next.
     """
     tf_o = oriented_terminal_fan(tf, af)
-    x1, x2, x4 = tf_o.x1, tf_o.hub, tf_o.x4
+    x2, x4 = tf_o.hub, tf_o.x4
     interior = _interior_landings(tf_o, af)
     spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) != 1:
@@ -446,8 +434,7 @@ def claim3_assembly(
         cycle = concat_paths([closing, _contact_stem(tf_o, af, u)[1], lm.t_path])
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim3 pieces overlap: {exc}") from exc
-    roots = RootQuadruple(x1, x2, tf_o.x3, x4)
-    return _checked(g, roots, cycle, pendant, "claim3")
+    return _checked(g, tf_o, cycle, pendant, "claim3")
 
 
 def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flower:
@@ -629,6 +616,32 @@ def _fingerprint(g: Graph, roots: RootQuadruple) -> str:
     return f"n={g.n} m={g.m} roots={','.join(map(str, roots.as_tuple()))}"
 
 
+def assemble(
+    g: Graph, tf: TerminalFan, af: ApexFan, l: Path, budget: int
+) -> tuple[str, KiteSubdivision]:
+    """Run the claim chain on any x1-x3 path l disjoint from some x2-x4 path.
+
+    Returns the assembly path taken and its kite: claim1 when l misses
+    p, else crossing, claim2, claim3 or flower, the first that applies.
+    budget bounds the flower search; a stage that cannot proceed raises
+    a StageFailure.
+    """
+    if not (set(l.vertices) & set(af.p.vertices)):
+        return "claim1", claim1_assembly(g, tf, af.p, l)
+    kite = crossing_assembly(g, tf, af, l)
+    if kite is not None:
+        return "crossing", kite
+    lm = compute_landmarks(l, tf, af)
+    kite = claim2_assembly(g, tf, af, lm)
+    if kite is not None:
+        return "claim2", kite
+    kite = claim3_assembly(g, tf, af, lm)
+    if kite is not None:
+        return "claim3", kite
+    flower = build_flower(g, tf, af, lm)
+    return "flower", resolve_flower(g, flower, budget)
+
+
 def _pipeline(
     g: Graph, roots: RootQuadruple, options: FindKiteOptions
 ) -> tuple[str, KiteSubdivision]:
@@ -639,23 +652,9 @@ def _pipeline(
     link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4)
     if link is None:
         raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
-    l = link.l
-    if not (set(l.vertices) & set(af.p.vertices)):
-        return "claim1", claim1_assembly(g, tf, af.p, l)
-    # L meets P, but a crossing stretch still assembles the claim 1
-    # cycle directly; when none exists the landmark order is forced.
-    kite = crossing_assembly(g, tf, af, l)
-    if kite is not None:
-        return "claim1", kite
-    lm = compute_landmarks(l, tf, af)
-    kite = claim2_assembly(g, tf, af, lm)
-    if kite is not None:
-        return "claim2", kite
-    kite = claim3_assembly(g, tf, af, lm)
-    if kite is not None:
-        return "claim3", kite
-    flower = build_flower(g, tf, af, lm)
-    return "flower", resolve_flower(g, flower, options.budget)
+    path, kite = assemble(g, tf, af, link.l, options.budget)
+    # The crossing assembly closes a claim 1 cycle, and stages name claims.
+    return ("claim1" if path == "crossing" else path), kite
 
 
 def find_kite(

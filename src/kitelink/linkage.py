@@ -10,16 +10,13 @@ terminals (28,12) and (13,5) (find_kite roots (28,13,12,5)) it makes
 about 884k ``grow`` calls and takes 2-3 s on a 2-core Xeon, and the
 worst case known, C34(1,2,4,7) with terminals (30,31) and (10,4)
 (roots (30,10,31,4)), takes 23.9-26 s there.
-
-``two_linkage_oracle`` is an intentionally separate brute-force
-enumeration of both paths used to cross-check the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DuplicateTerminals, PreconditionViolated
+from .errors import DuplicateTerminals, PreconditionViolated
 from .graphs import Graph, connected_avoiding
 from .paths import Path
 
@@ -106,41 +103,4 @@ def _shortest_avoiding(g: Graph, a: int, b: int, banned: int) -> list[int] | Non
                     return out[::-1]
                 nxt.append(w)
         frontier = nxt
-    return None
-
-
-def two_linkage_oracle(
-    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: int = 1_000_000
-) -> LinkagePair | None:
-    """Exhaustive enumeration over disjoint path pairs, for cross-checks.
-
-    Counts node expansions and raises BudgetExceeded when the budget runs
-    out before the answer is known.
-    """
-    _validate_terminals(g, s1, t1, s2, t2)
-    spent = [0]
-
-    def charge():
-        spent[0] += 1
-        if spent[0] > budget:
-            raise BudgetExceeded(f"linkage oracle exceeded {budget} expansions")
-
-    def paths_from(v: int, goal: int, used: set[int], acc: list[int]):
-        charge()
-        if v == goal:
-            yield list(acc)
-            return
-        for w in g.neighbors(v):
-            if w in used:
-                continue
-            used.add(w)
-            acc.append(w)
-            yield from paths_from(w, goal, used, acc)
-            acc.pop()
-            used.remove(w)
-
-    for first in paths_from(s1, t1, {s1, s2, t2}, [s1]):
-        blocked = set(first) | {s2}
-        for second in paths_from(s2, t2, set(blocked), [s2]):
-            return LinkagePair(Path(first), Path(second))
     return None

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 
+from kitelink.errors import BudgetExceeded, DuplicateTerminals, PreconditionViolated
 from kitelink.graphs import Graph
+from kitelink.linkage import LinkagePair
+from kitelink.paths import Path
 from kitelink.structures import RootQuadruple
 
 
@@ -54,6 +57,48 @@ def rooted_kite_exists(g: Graph, roots: RootQuadruple) -> bool:
                 for _ in all_simple_paths(g, x2, x4, cycle - {x2}):
                     return True
     return False
+
+
+def two_linkage_oracle(
+    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: int = 1_000_000
+) -> LinkagePair | None:
+    """Disjoint s1-t1 and s2-t2 paths by enumerating both, or None.
+
+    Rejects terminals the way the solver does, counts node expansions
+    and raises BudgetExceeded when the budget runs out before the answer
+    is known.
+    """
+    terms = (s1, t1, s2, t2)
+    if any(not 0 <= v < g.n for v in terms):
+        raise PreconditionViolated(f"terminals {terms} outside graph")
+    if len(set(terms)) != 4:
+        raise DuplicateTerminals(f"terminals must be distinct, got {terms}")
+    spent = [0]
+
+    def charge():
+        spent[0] += 1
+        if spent[0] > budget:
+            raise BudgetExceeded(f"linkage oracle exceeded {budget} expansions")
+
+    def paths_from(v: int, goal: int, used: set[int], acc: list[int]):
+        charge()
+        if v == goal:
+            yield list(acc)
+            return
+        for w in g.neighbors(v):
+            if w in used:
+                continue
+            used.add(w)
+            acc.append(w)
+            yield from paths_from(w, goal, used, acc)
+            acc.pop()
+            used.remove(w)
+
+    for first in paths_from(s1, t1, {s1, s2, t2}, [s1]):
+        blocked = set(first) | {s2}
+        for second in paths_from(s2, t2, set(blocked), [s2]):
+            return LinkagePair(Path(first), Path(second))
+    return None
 
 
 def brute_connectivity(g: Graph) -> int:

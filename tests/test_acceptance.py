@@ -16,7 +16,7 @@ from kitelink.fans import check_fan, extend_fan, find_fan, vertex_connectivity
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.harness import TrialConfig, report_lines, run_trials
-from kitelink.linkage import two_linkage, two_linkage_oracle
+from kitelink.linkage import two_linkage
 from kitelink.oracle import find_kite_exhaustive, is_kite_linked
 from kitelink.structures import (
     KiteSubdivision,
@@ -30,6 +30,7 @@ from bruteforce import (
     connected_representatives,
     mask_to_graph,
     rooted_kite_exists,
+    two_linkage_oracle,
 )
 
 

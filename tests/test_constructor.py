@@ -1,8 +1,9 @@
 """Tests for the staged kite construction pipeline.
 
-The dense families only ever exercise the early stages, so the later
-assemblies (single-sided landings, flowers) are driven by hand-laid
-fan/linkage fixtures where every path is pinned down explicitly.
+Hand-laid fan/linkage fixtures pin every path down for the single
+assemblies.  Real hosts reach every stage through `assemble`: sparse
+circulants with pinned or seeded random linkage paths drive claim3 and
+flower, and the find_kite tests run the whole pipeline.
 """
 
 import hashlib
@@ -14,10 +15,12 @@ from collections import Counter
 
 import pytest
 
+from kitelink import constructor
 from kitelink.constructor import (
     ApexFan,
     FindKiteOptions,
     apex_fan,
+    assemble,
     build_flower,
     claim1_assembly,
     claim2_assembly,
@@ -46,8 +49,7 @@ from kitelink.fans import (
     vertex_connectivity,
 )
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
-from kitelink.graphs import Graph
-from kitelink.linkage import two_linkage
+from kitelink.graphs import Graph, connected_avoiding
 from kitelink.oracle import find_kite_exhaustive
 from kitelink.paths import Path
 from kitelink.structures import Flower, RootQuadruple, verify_flower, verify_kite
@@ -634,31 +636,163 @@ def _assembly_corpus():
     yield _circulant(26, (1, 2, 3, 4)), RootQuadruple(23, 0, 17, 9)
 
 
-def _assembly_path(g, roots, stage):
-    """The assembly behind a pipeline stage.  find_kite labels both the
-    claim 1 and the crossing assembly claim1; the pipeline picks the
-    crossing assembly exactly when the linkage path meets the apex arm."""
-    if stage != "claim1":
-        return stage
-    af = apex_fan(g, terminal_fan(g, roots))
-    l = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4).l
-    return "crossing" if set(l.vertices) & set(af.p.vertices) else "claim1"
-
-
-def test_find_kite_assemblies_match_golden_digest():
+def test_find_kite_assemblies_match_golden_digest(monkeypatch):
     # sha256 over repr((stage, kite)) of every root choice, computed
     # before the assemblies shared their fan-geometry helpers.
+    taken = []
+
+    def recording_assemble(*args):
+        path, kite = assemble(*args)
+        taken.append(path)
+        return path, kite
+
+    monkeypatch.setattr(constructor, "assemble", recording_assemble)
     opts = FindKiteOptions(try_direct=False)
     digest = hashlib.sha256()
-    paths = Counter()
     for g, roots in _assembly_corpus():
         res = find_kite(g, roots, opts)
         assert res.diagnostics == ()
+        assert res.stage == ("claim1" if taken[-1] == "crossing" else taken[-1])
         digest.update(repr((res.stage, res.kite)).encode())
-        paths[_assembly_path(g, roots, res.stage)] += 1
-    assert paths == {"claim1": 1073, "crossing": 158, "claim2": 47, "claim3": 1, "flower": 1}
+    assert Counter(taken) == {
+        "claim1": 1073, "crossing": 158, "claim2": 47, "claim3": 1, "flower": 1
+    }
     assert digest.hexdigest() == (
         "07e78052752e528d62f63ff76a7c9e0eed391a3b49cd2e417c5df7016ce706ef"
+    )
+
+
+# ------------------------------------------- assemble on given linkage paths
+
+
+def _fans(g, roots):
+    tf = terminal_fan(g, roots)
+    return tf, apex_fan(g, tf)
+
+
+@pytest.mark.parametrize(
+    "n, offsets, roots, l, stage, cycle, pendant",
+    [
+        # The flower and claim3 find_kite regressions above, on the path
+        # two_linkage returns for them.
+        (
+            26, (1, 2, 3, 4), (23, 0, 17, 9),
+            (23, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 17),
+            "flower", (0, 4, 6, 10, 13, 17, 20, 23, 22), (0, 3, 2, 1, 5, 9),
+        ),
+        (
+            30, (1, 2, 4, 7), (9, 24, 19, 18),
+            (9, 2, 0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19),
+            "claim3", (5, 9, 8, 15, 16, 17, 19, 23, 24, 28), (24, 22, 18),
+        ),
+        # two_linkage takes about 2 s to find this path; assemble then
+        # needs well under a millisecond.
+        (
+            30, (1, 2, 4, 7), (28, 13, 12, 5),
+            (28, 0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12),
+            "claim3", (2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 20, 24, 28), (13, 9, 5),
+        ),
+    ],
+)
+def test_assemble_reaches_late_stages_on_pinned_linkage(
+    n, offsets, roots, l, stage, cycle, pendant
+):
+    g = _circulant(n, offsets)
+    roots = RootQuadruple(*roots)
+    path, kite = assemble(g, *_fans(g, roots), Path(l), 10_000)
+    assert path == stage
+    assert (kite.cycle, kite.pendant) == (cycle, pendant)
+    assert verify_kite(g, roots, kite)
+
+
+@pytest.mark.xfail(raises=FlowerResolutionExhausted, strict=True)
+def test_resolve_flower_on_hard_circulant_flower():
+    # A verified flower whose kite the oracle finds at once, but which the
+    # flower search cannot resolve even with a million expansions.
+    g = _circulant(26, (1, 2, 3, 4))
+    roots = RootQuadruple(8, 15, 10, 23)
+    assert verify_kite(g, roots, find_kite_exhaustive(g, roots))
+    tf, af = _fans(g, roots)
+    l = Path((8, 4, 0, 25, 22, 21, 18, 19, 20, 16, 13, 14, 10))
+    fl = build_flower(g, tf, af, compute_landmarks(l, tf, af))
+    assert verify_flower(g, fl)
+    assert verify_kite(g, roots, resolve_flower(g, fl, 10_000))
+
+
+def _linkage_walk(g, roots, favoured, rng):
+    """A random x1-x3 path that some x2-x4 path avoids, or None if stuck.
+
+    Every step keeps x2 and x4 connected and x3 reachable; when a legal
+    step lies in favoured it takes one with probability 0.8.
+    """
+    x1, x2, x3, x4 = roots.as_tuple()
+    ends = 1 << x2 | 1 << x4
+    used, vs = 1 << x1, [x1]
+    while vs[-1] != x3:
+        steps = [
+            w
+            for w in g.neighbors(vs[-1])
+            if not (used | ends) >> w & 1
+            and connected_avoiding(g, x2, x4, used | 1 << w)
+            and connected_avoiding(g, w, x3, used | ends)
+        ]
+        if not steps:
+            return None
+        near = [w for w in steps if w in favoured]
+        w = rng.choice(near if near and rng.random() < 0.8 else steps)
+        used |= 1 << w
+        vs.append(w)
+    return Path(tuple(vs))
+
+
+def _lands_on_one_q_path(tf, af):
+    # Only then can the chain get past claim2 to claim3 or the flower.
+    tf_o = oriented_terminal_fan(tf, af)
+    ws = [w for w in af.landing_vertices() if w != tf_o.x1]
+    return len({i for i, q in enumerate(tf_o.q) for w in ws if w in q}) == 1
+
+
+# Walks whose flower the search cannot resolve within 10,000 expansions
+# (this one needs more than a million; the oracle finds a kite at once).
+EXHAUSTED_FLOWERS = [
+    (
+        30, (1, 2, 3, 4), (9, 16, 7, 1),
+        (9, 5, 2, 28, 27, 23, 19, 18, 21, 25, 22, 26, 0, 29, 3, 6, 7),
+    ),
+]
+
+
+def test_assemble_on_seeded_linkage_walks():
+    # 90 seeded roots on each of nine sparse circulants; one walk per
+    # root, and 30 per root whose landings sit on one Q-path.  A walk
+    # that gets stuck is drawn again.  Walks prefer the apex fan's arms,
+    # which is what pushes the chain past claim1.
+    paths = Counter()
+    exhausted = []
+    digest = hashlib.sha256()
+    for n in (20, 26, 30):
+        for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
+            g = _circulant(n, offsets)
+            rng = random.Random(100 * n + offsets[-1])
+            for _ in range(90):
+                roots = RootQuadruple(*rng.sample(range(n), 4))
+                tf, af = _fans(g, roots)
+                favoured = {v for arm in af.arms() for v in arm.vertices}
+                for _ in range(30 if _lands_on_one_q_path(tf, af) else 1):
+                    while (l := _linkage_walk(g, roots, favoured, rng)) is None:
+                        pass
+                    try:
+                        path, kite = assemble(g, tf, af, l, 10_000)
+                    except FlowerResolutionExhausted:
+                        exhausted.append((n, offsets, roots.as_tuple(), l.vertices))
+                        continue
+                    assert verify_kite(g, roots, kite)
+                    paths[path] += 1
+                    digest.update(repr((path, kite)).encode())
+    assert paths["claim3"] >= 20 and paths["flower"] >= 20
+    assert exhausted == EXHAUSTED_FLOWERS
+    assert digest.hexdigest() == (
+        "390bcdd171e76de53463abb0689bc1e643f20e824db9a526a2af0a6d2660ff5b"
     )
 
 
