@@ -16,7 +16,6 @@ from .constructor import FindKiteOptions, find_kite
 from .errors import (
     BudgetExceeded,
     ConstructionFailed,
-    FlowerResolutionExhausted,
     FormatError,
     KitelinkError,
     MalformedLine,
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, FlowerResolutionExhausted) as exc:
+    except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
     except ConstructionFailed as exc:

@@ -8,10 +8,12 @@ drives a case analysis, which `assemble` runs on any x1-x3 path L that
 some x2-x4 path avoids: the claim 1 assembly when L misses the x4-x2
 arm P, else the crossing assembly when a stretch of L crosses cleanly
 from the Q side to R, else landmark vertices on L feed claim 2 or
-claim 3, and when both decline the pieces form a flower which a seeded
-search resolves.  find_kite runs it on the path two_linkage returns.
-Every candidate is verified before being returned; any stage failure
-falls back to exhaustive search and is recorded as a diagnostic.
+claim 3, and when both decline the pieces form a flower whose own arcs
+and spokes close into at most four candidate cycles, each given its
+pendant by one breadth-first search.  find_kite runs the chain on the
+path two_linkage returns.  Every candidate is verified before being
+returned; any stage failure falls back to exhaustive search and is
+recorded as a diagnostic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .fans import (
     terminal_fan,
     vertex_connectivity,
 )
-from .graphs import Graph, connected_avoiding
+from .graphs import Graph, shortest_avoiding, vertex_mask
 from .linkage import two_linkage
 from .oracle import SearchBudget, find_kite_exhaustive
 from .paths import Cycle, Path, concat_paths, subpath
@@ -112,7 +114,7 @@ class FindKiteOptions:
     verify_connectivity: bool = False
     try_direct: bool = True
     allow_fallback: bool = True
-    budget: int = 10_000_000  # expansions for the flower search and the fallback
+    budget: int = 10_000_000  # expansions for the exhaustive fallback
 
     def __post_init__(self):
         if self.budget < 1:
@@ -518,14 +520,25 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     return flower
 
 
-def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivision:
-    """Turn a verified flower into a rooted kite by seeded search.
+def _arcs(cycle: tuple[int, ...], a: int, b: int) -> tuple[list[int], list[int]]:
+    """The two arcs of cycle from a to b, each as a vertex list a ... b."""
+    i = cycle.index(a)
+    turn = cycle[i:] + cycle[:i]
+    j = turn.index(b)
+    return list(turn[: j + 1]), [a] + list(turn[j:][::-1])
 
-    The search enumerates the pendant first and then the cycle as three
-    arcs, always preferring flower edges, then flower vertices, then the
-    rest of the graph, so the structure the flower promises is explored
-    first.  Exhaustion (of the space or the budget) raises
-    FlowerResolutionExhausted; on a 7-connected host a kite exists.
+
+def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivision:
+    """Turn a verified flower into a rooted kite built from its pieces.
+
+    The cycle runs from x2 along an arc of c1 to x1, down p1, around c3
+    from v1 through v2 to v3, up p3 and along an arc of c2 back to x2;
+    verify_flower makes each of these simple and clear of x4, so no
+    splice can fail.  The pendant is one shortest x2-x4 path off the
+    cycle.  The 2 x 2 choices of c1 and c2 arc are tried shortest cycle
+    first, ties by vertex tuple, so at most four breadth-first searches
+    run, and the first kite verify_kite accepts is returned.  When none
+    is, FlowerResolutionExhausted.  budget is checked but not spent.
     """
     verdict = verify_flower(g, f)
     if not verdict:
@@ -533,70 +546,24 @@ def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivi
     if budget < 1:
         raise PreconditionViolated("budget needs at least one expansion")
     x1, x2, x3, x4 = f.roots.as_tuple()
-    fedges: set[tuple[int, int]] = set()
-    for part in (f.c1, f.c2, f.c3):
-        for i in range(len(part)):
-            a, b = part[i], part[(i + 1) % len(part)]
-            fedges.add((a, b))
-            fedges.add((b, a))
-    for part in (f.p1, f.p2, f.p3):
-        for a, b in zip(part, part[1:]):
-            fedges.add((a, b))
-            fedges.add((b, a))
-    fverts = f.all_vertices()
-    ranked = [
-        tuple(
-            sorted(
-                g.neighbors(v),
-                key=lambda w, v=v: (0 if (v, w) in fedges else 1 if w in fverts else 2, w),
-            )
-        )
-        for v in range(g.n)
-    ]
-    spent = 0
-
-    def bits(vertices) -> int:
-        mask = 0
-        for u in vertices:
-            mask |= 1 << u
-        return mask
-
-    def walk(v: int, goal: int, blocked: int, acc: list[int]):
-        """Yield every simple path v -> goal through vertices outside the
-        bitmask blocked; acc already holds v, which blocked includes."""
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise FlowerResolutionExhausted(f"flower search exceeded {budget} expansions")
-        if v == goal:
-            yield list(acc)
-            return
-        if not connected_avoiding(g, v, goal, blocked):
-            return
-        for nxt in ranked[v]:
-            if blocked >> nxt & 1:
-                continue
-            acc.append(nxt)
-            yield from walk(nxt, goal, blocked | 1 << nxt, acc)
-            acc.pop()
-
-    for pendant in walk(x2, x4, bits((x2, x1, x3)), [x2]):
-        pin = bits(pendant[1:])
-        for a_arc in walk(x2, x1, pin | bits((x2, x3)), [x2]):
-            for b_arc in walk(x1, x3, pin | bits(a_arc), [x1]):
-                used = bits(a_arc) | bits(b_arc)
-                for c_arc in walk(x3, x2, pin | used & ~(1 << x2), [x3]):
-                    cycle = Cycle(a_arc + b_arc[1:] + c_arc[1:-1])
-                    kite = KiteSubdivision.from_parts(cycle, Path(pendant))
-                    check = verify_kite(g, f.roots, kite)
-                    if not check:
-                        raise InvariantViolation(
-                            f"flower search built a bad kite: {check.reason}"
-                        )
-                    return kite
-    raise FlowerResolutionExhausted(
-        "flower search space exhausted; the host graph cannot be 7-connected"
+    c3_arc = next(arc for arc in _arcs(f.c3, f.v1, f.v3) if f.v2 in arc)
+    middle = list(f.p1) + c3_arc[1:] + list(f.p3[-2::-1])
+    cycles = sorted(
+        (
+            Cycle(a1 + middle[1:] + a2[1:-1])
+            for a1 in _arcs(f.c1, x2, x1)
+            for a2 in _arcs(f.c2, x3, x2)
+        ),
+        key=lambda c: (len(c), c.vertices),
     )
+    for cycle in cycles:
+        pendant = shortest_avoiding(g, x2, x4, vertex_mask(cycle))
+        if pendant is None:
+            continue
+        kite = KiteSubdivision.from_parts(cycle, Path(pendant))
+        if verify_kite(g, f.roots, kite):
+            return kite
+    raise FlowerResolutionExhausted("every cycle of the flower cuts x2 off from x4")
 
 
 def _direct_kite(g: Graph, roots: RootQuadruple) -> KiteSubdivision | None:
@@ -616,15 +583,13 @@ def _fingerprint(g: Graph, roots: RootQuadruple) -> str:
     return f"n={g.n} m={g.m} roots={','.join(map(str, roots.as_tuple()))}"
 
 
-def assemble(
-    g: Graph, tf: TerminalFan, af: ApexFan, l: Path, budget: int
-) -> tuple[str, KiteSubdivision]:
+def assemble(g: Graph, tf: TerminalFan, af: ApexFan, l: Path) -> tuple[str, KiteSubdivision]:
     """Run the claim chain on any x1-x3 path l disjoint from some x2-x4 path.
 
     Returns the assembly path taken and its kite: claim1 when l misses
     p, else crossing, claim2, claim3 or flower, the first that applies.
-    budget bounds the flower search; a stage that cannot proceed raises
-    a StageFailure.
+    Each stage builds from the fans, l and the pieces before it, with no
+    search; one that cannot proceed raises a StageFailure.
     """
     if not (set(l.vertices) & set(af.p.vertices)):
         return "claim1", claim1_assembly(g, tf, af.p, l)
@@ -639,7 +604,7 @@ def assemble(
     if kite is not None:
         return "claim3", kite
     flower = build_flower(g, tf, af, lm)
-    return "flower", resolve_flower(g, flower, budget)
+    return "flower", resolve_flower(g, flower)
 
 
 def _pipeline(
@@ -652,7 +617,7 @@ def _pipeline(
     link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4)
     if link is None:
         raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
-    path, kite = assemble(g, tf, af, link.l, options.budget)
+    path, kite = assemble(g, tf, af, link.l)
     # The crossing assembly closes a claim 1 cycle, and stages name claims.
     return ("claim1" if path == "crossing" else path), kite
 

@@ -99,6 +99,9 @@ class FlowerInvalid(StageFailure):
 
 
 class FlowerResolutionExhausted(StageFailure):
+    """No candidate cycle of the flower leaves x2 a path to x4; unlike
+    BudgetExceeded, more budget cannot help."""
+
     stage = "flower-resolution"
 
 

@@ -142,6 +142,43 @@ def connected_avoiding(g: Graph, a: int, b: int, banned: int) -> bool:
     return False
 
 
+def shortest_avoiding(g: Graph, a: int, b: int, banned: int) -> list[int] | None:
+    """A shortest a-b path in g minus the banned set, or None.
+
+    ``banned`` is a bitmask as in connected_avoiding, and again a and b
+    are always allowed.  Deterministic: breadth-first, lowest neighbour
+    first, so among shortest paths the same one always comes back.
+    """
+    if a == b:
+        return [a]
+    banned &= ~(1 << b)
+    parent = {a: -1}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w in parent or (banned >> w) & 1:
+                    continue
+                parent[w] = v
+                if w == b:
+                    out = [b]
+                    while parent[out[-1]] != -1:
+                        out.append(parent[out[-1]])
+                    return out[::-1]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for every v in vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def _edge_key(u: int, v: int, n: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
     """Edge u-v as stored, (min, max), after adding it to seen; rejects
     an endpoint outside 0..n-1, a loop and an edge already in seen."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DuplicateTerminals, PreconditionViolated
-from .graphs import Graph, connected_avoiding
+from .graphs import Graph, connected_avoiding, shortest_avoiding, vertex_mask
 from .paths import Path
 
 
@@ -47,7 +47,7 @@ def two_linkage(g: Graph, s1: int, t1: int, s2: int, t2: int) -> LinkagePair | N
 
     def grow(v: int, used: int) -> list[int] | None:
         if v == t1:
-            second = _shortest_avoiding(g, s2, t2, used)
+            second = shortest_avoiding(g, s2, t2, used)
             return [] if second is not None else None
         key = (v, used)
         if key in dead:
@@ -71,36 +71,7 @@ def two_linkage(g: Graph, s1: int, t1: int, s2: int, t2: int) -> LinkagePair | N
     if first_tail is None:
         return None
     first = [s1] + first_tail
-    second = _shortest_avoiding(g, s2, t2, _mask(first))
+    second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     assert second is not None
     return LinkagePair(Path(first), Path(second))
 
-
-def _mask(vs: list[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
-def _shortest_avoiding(g: Graph, a: int, b: int, banned: int) -> list[int] | None:
-    """Deterministic BFS path from a to b dodging the banned bitmask."""
-    if (banned >> a) & 1 or (banned >> b) & 1:
-        return None
-    parent = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w in parent or (banned >> w) & 1:
-                    continue
-                parent[w] = v
-                if w == b:
-                    out = [b]
-                    while parent[out[-1]] != -1:
-                        out.append(parent[out[-1]])
-                    return out[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None

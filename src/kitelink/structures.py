@@ -127,12 +127,6 @@ class Flower:
         for name in ("p1", "p2", "p3"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def all_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for part in (self.c1, self.c2, self.c3, self.p1, self.p2, self.p3):
-            out.update(part)
-        return out
-
 
 def _check_cycle(g: Graph, vs: Sequence[int], name: str) -> str | None:
     if len(vs) < 3:

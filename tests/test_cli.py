@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from kitelink import constructor
 from kitelink.cli import main
+from kitelink.errors import FlowerResolutionExhausted
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph, format_graph, graph_as_json
 
@@ -197,6 +199,19 @@ def test_kite_find_exit_codes_without_kite(tmp_path, capsys):
     )
     assert code == 1
     assert "stage failure" in err
+
+
+def test_kite_find_reports_unresolved_flower_as_stage_failure(tmp_path, capsys, monkeypatch):
+    # More budget cannot resolve a flower, so this is exit 1, not 3.
+    def unresolved(*args):
+        raise FlowerResolutionExhausted("every cycle of the flower cuts x2 off from x4")
+
+    monkeypatch.setattr(constructor, "assemble", unresolved)
+    gpath = _write_graph(tmp_path, gen_complete_minus_matching(9, 1))
+    code, out, err = _run(capsys, "kite", "find", gpath, "0", "2", "1", "3", "--no-fallback")
+    assert code == 1
+    assert out == "" and err.startswith("stage failure:")
+    assert "cuts x2 off" in err
 
 
 def test_kite_find_rejects_zero_budget_before_reading(tmp_path, capsys):

@@ -49,7 +49,7 @@ from kitelink.fans import (
     vertex_connectivity,
 )
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
-from kitelink.graphs import Graph, connected_avoiding
+from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding
 from kitelink.oracle import find_kite_exhaustive
 from kitelink.paths import Path
 from kitelink.structures import Flower, RootQuadruple, verify_flower, verify_kite
@@ -461,12 +461,6 @@ def test_resolve_flower_finds_kite_on_dense_host():
     assert verify_kite(g, BARE_FLOWER.roots, kite)
 
 
-def test_resolve_flower_respects_budget():
-    g = gen_complete_minus_matching(9, 2)
-    with pytest.raises(FlowerResolutionExhausted):
-        resolve_flower(g, BARE_FLOWER, budget=1)
-
-
 def test_resolve_flower_exhausts_when_host_has_no_kite():
     g = _bare_flower_graph()
     assert verify_flower(g, BARE_FLOWER)
@@ -594,8 +588,8 @@ def test_find_kite_reaches_flower_on_circulant():
     res = find_kite(g, RootQuadruple(23, 0, 17, 9))
     assert res.as_json() == {
         "roots": [23, 0, 17, 9],
-        "cycle": [0, 4, 6, 10, 13, 17, 20, 23, 22],
-        "pendant": [0, 3, 2, 1, 5, 9],
+        "cycle": [0, 23, 1, 2, 3, 6, 10, 13, 17, 20, 24],
+        "pendant": [0, 4, 5, 9],
         "stage": "flower",
     }
 
@@ -637,8 +631,8 @@ def _assembly_corpus():
 
 
 def test_find_kite_assemblies_match_golden_digest(monkeypatch):
-    # sha256 over repr((stage, kite)) of every root choice, computed
-    # before the assemblies shared their fan-geometry helpers.
+    # sha256 over repr((stage, kite)) of every root choice, and the
+    # assembly path each took.
     taken = []
 
     def recording_assemble(*args):
@@ -658,7 +652,7 @@ def test_find_kite_assemblies_match_golden_digest(monkeypatch):
         "claim1": 1073, "crossing": 158, "claim2": 47, "claim3": 1, "flower": 1
     }
     assert digest.hexdigest() == (
-        "07e78052752e528d62f63ff76a7c9e0eed391a3b49cd2e417c5df7016ce706ef"
+        "79cfd5b02fbacb2568c0cd90f281b610807e2c00918d6532e55798742c5f8652"
     )
 
 
@@ -678,7 +672,7 @@ def _fans(g, roots):
         (
             26, (1, 2, 3, 4), (23, 0, 17, 9),
             (23, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 17),
-            "flower", (0, 4, 6, 10, 13, 17, 20, 23, 22), (0, 3, 2, 1, 5, 9),
+            "flower", (0, 23, 1, 2, 3, 6, 10, 13, 17, 20, 24), (0, 4, 5, 9),
         ),
         (
             30, (1, 2, 4, 7), (9, 24, 19, 18),
@@ -699,16 +693,16 @@ def test_assemble_reaches_late_stages_on_pinned_linkage(
 ):
     g = _circulant(n, offsets)
     roots = RootQuadruple(*roots)
-    path, kite = assemble(g, *_fans(g, roots), Path(l), 10_000)
+    path, kite = assemble(g, *_fans(g, roots), Path(l))
     assert path == stage
     assert (kite.cycle, kite.pendant) == (cycle, pendant)
     assert verify_kite(g, roots, kite)
 
 
-@pytest.mark.xfail(raises=FlowerResolutionExhausted, strict=True)
 def test_resolve_flower_on_hard_circulant_flower():
-    # A verified flower whose kite the oracle finds at once, but which the
-    # flower search cannot resolve even with a million expansions.
+    # A verified flower whose kite the oracle finds at once, while a
+    # kite search seeded by the flower's edges spends over a million
+    # expansions on it.
     g = _circulant(26, (1, 2, 3, 4))
     roots = RootQuadruple(8, 15, 10, 23)
     assert verify_kite(g, roots, find_kite_exhaustive(g, roots))
@@ -716,7 +710,51 @@ def test_resolve_flower_on_hard_circulant_flower():
     l = Path((8, 4, 0, 25, 22, 21, 18, 19, 20, 16, 13, 14, 10))
     fl = build_flower(g, tf, af, compute_landmarks(l, tf, af))
     assert verify_flower(g, fl)
-    assert verify_kite(g, roots, resolve_flower(g, fl, 10_000))
+    assert verify_kite(g, roots, resolve_flower(g, fl))
+
+
+# Flowers that real circulant hosts reach, as (host, roots, linkage
+# path): the find_kite flower regression's, and two on which a kite
+# search seeded by the flower's edges spends over a million expansions.
+CIRCULANT_FLOWERS = [
+    (
+        26, (1, 2, 3, 4), (23, 0, 17, 9),
+        (23, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 17),
+    ),
+    (
+        26, (1, 2, 3, 4), (8, 15, 10, 23),
+        (8, 4, 0, 25, 22, 21, 18, 19, 20, 16, 13, 14, 10),
+    ),
+    (
+        30, (1, 2, 3, 4), (9, 16, 7, 1),
+        (9, 5, 2, 28, 27, 23, 19, 18, 21, 25, 22, 26, 0, 29, 3, 6, 7),
+    ),
+]
+
+
+@pytest.mark.parametrize("n, offsets, roots, l", CIRCULANT_FLOWERS)
+def test_resolve_flower_runs_at_most_four_searches(monkeypatch, n, offsets, roots, l):
+    g = _circulant(n, offsets)
+    roots = RootQuadruple(*roots)
+    tf, af = _fans(g, roots)
+    fl = build_flower(g, tf, af, compute_landmarks(Path(l), tf, af))
+    searches = []
+
+    def counting(*args):
+        searches.append(args)
+        return shortest_avoiding(*args)
+
+    monkeypatch.setattr(constructor, "shortest_avoiding", counting)
+    kite = resolve_flower(g, fl)
+    assert 1 <= len(searches) <= 4
+    assert verify_kite(g, roots, kite)
+
+
+def test_resolve_flower_rejects_nonpositive_budget():
+    g = gen_complete_minus_matching(9, 2)
+    for budget in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            resolve_flower(g, BARE_FLOWER, budget)
 
 
 def _linkage_walk(g, roots, favoured, rng):
@@ -752,23 +790,12 @@ def _lands_on_one_q_path(tf, af):
     return len({i for i, q in enumerate(tf_o.q) for w in ws if w in q}) == 1
 
 
-# Walks whose flower the search cannot resolve within 10,000 expansions
-# (this one needs more than a million; the oracle finds a kite at once).
-EXHAUSTED_FLOWERS = [
-    (
-        30, (1, 2, 3, 4), (9, 16, 7, 1),
-        (9, 5, 2, 28, 27, 23, 19, 18, 21, 25, 22, 26, 0, 29, 3, 6, 7),
-    ),
-]
-
-
 def test_assemble_on_seeded_linkage_walks():
     # 90 seeded roots on each of nine sparse circulants; one walk per
     # root, and 30 per root whose landings sit on one Q-path.  A walk
     # that gets stuck is drawn again.  Walks prefer the apex fan's arms,
     # which is what pushes the chain past claim1.
     paths = Counter()
-    exhausted = []
     digest = hashlib.sha256()
     for n in (20, 26, 30):
         for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
@@ -781,18 +808,13 @@ def test_assemble_on_seeded_linkage_walks():
                 for _ in range(30 if _lands_on_one_q_path(tf, af) else 1):
                     while (l := _linkage_walk(g, roots, favoured, rng)) is None:
                         pass
-                    try:
-                        path, kite = assemble(g, tf, af, l, 10_000)
-                    except FlowerResolutionExhausted:
-                        exhausted.append((n, offsets, roots.as_tuple(), l.vertices))
-                        continue
+                    path, kite = assemble(g, tf, af, l)
                     assert verify_kite(g, roots, kite)
                     paths[path] += 1
                     digest.update(repr((path, kite)).encode())
     assert paths["claim3"] >= 20 and paths["flower"] >= 20
-    assert exhausted == EXHAUSTED_FLOWERS
     assert digest.hexdigest() == (
-        "390bcdd171e76de53463abb0689bc1e643f20e824db9a526a2af0a6d2660ff5b"
+        "a462cdd1156ac700233545c4c0622e27b5708aa82e35500c3c21884b566d02f3"
     )
 
 

@@ -1,4 +1,5 @@
-"""Graph value object, text/JSON parsing, and masked reachability."""
+"""Graph value object, text/JSON parsing, masked reachability and
+shortest paths."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from kitelink.graphs import (
     graph_as_json,
     parse_graph,
     parse_graph_json,
+    shortest_avoiding,
+    vertex_mask,
 )
 
 
@@ -128,3 +131,21 @@ def test_connected_avoiding_matches_path_enumeration(edges, a, b, banned):
     blocked = frozenset(v for v in range(7) if mask >> v & 1)
     expected = a == b or any(True for _ in all_simple_paths(g, a, b, blocked))
     assert connected_avoiding(g, a, b, banned) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=_EDGE_SETS, a=st.integers(0, 6), b=st.integers(0, 6), banned=st.integers(0, 127))
+def test_shortest_avoiding_matches_path_enumeration(edges, a, b, banned):
+    g = Graph(7, edges)
+    mask = banned & ~((1 << a) | (1 << b))
+    blocked = frozenset(v for v in range(7) if mask >> v & 1)
+    lengths = [len(p) for p in all_simple_paths(g, a, b, blocked)]
+    path = shortest_avoiding(g, a, b, banned)
+    if a == b:
+        assert path == [a]
+    elif not lengths:
+        assert path is None
+    else:
+        assert path[0] == a and path[-1] == b and len(path) == min(lengths)
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+        assert not vertex_mask(path) & mask
