@@ -114,7 +114,7 @@ class FindKiteOptions:
     verify_connectivity: bool = False
     try_direct: bool = True
     allow_fallback: bool = True
-    budget: int = 10_000_000  # expansions for the exhaustive fallback
+    budget: int = 10_000_000  # expansions for two_linkage's search and for the fallback
 
     def __post_init__(self):
         if self.budget < 1:
@@ -614,7 +614,7 @@ def _pipeline(
     if tf is None:
         raise NoSevenFan("no 7-fan from x2 splitting 3/3/1 over x1, x3, x4")
     af = apex_fan(g, tf)
-    link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4)
+    link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4, options.budget)
     if link is None:
         raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
     path, kite = assemble(g, tf, af, link.l)

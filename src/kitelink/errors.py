@@ -105,6 +105,12 @@ class FlowerResolutionExhausted(StageFailure):
     stage = "flower-resolution"
 
 
+class LinkageBudgetExceeded(StageFailure, BudgetExceeded):
+    """two_linkage's search ran out of expansions; find_kite falls back."""
+
+    stage = "linkage"
+
+
 class InvariantViolation(StageFailure):
     """An internal consistency check failed; signals an implementation bug."""
 

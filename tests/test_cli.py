@@ -303,10 +303,10 @@ def test_trials_stream_matches_golden_digests(capsys):
     # alters any report byte fails here, not only between repeat runs.
     golden = {
         ("--n", "12", "--trials", "40", "--seed", "11", "--oracle-fraction", "0.15"):
-            "ef7f231d618d7238183d004d6a04f760bcbafac36b0ea959e5ca522c4d430297",
+            "d871918cd1714d8b0f0c9438653bc2beff76846108083099d81c45f512fb04dc",
         ("--generator", "kminusmatching", "--n", "9", "--matching", "4",
          "--roots", "exhaustive", "--oracle-fraction", "0.05"):
-            "79cc7b451a30aefa21bde3ee3729fc7436a0444361fc7a4343c4b2367e0379a1",
+            "dd64c5a8ae1d9df8c1382e2028d525999a80f7fa41894a61dfa78756f20f4afb",
     }
     for args, digest in golden.items():
         code, out, _ = _run(capsys, "trials", *args)

@@ -519,8 +519,8 @@ def test_find_kite_regression_formerly_unordered_instance():
 
 
 def test_find_kite_reaches_claim2_on_matching_family():
-    g = gen_complete_minus_matching(9, 1)
-    res = find_kite(g, RootQuadruple(2, 0, 4, 1), FindKiteOptions(try_direct=False))
+    g = gen_complete_minus_matching(9, 2)
+    res = find_kite(g, RootQuadruple(2, 0, 3, 1), FindKiteOptions(try_direct=False))
     assert res.stage == "claim2"
     assert res.diagnostics == ()
     assert verify_kite(g, res.roots, res.kite)
@@ -581,29 +581,30 @@ def _circulant(n, offsets):
     return Graph(n, sorted(edges))
 
 
-def test_find_kite_reaches_flower_on_circulant():
-    # C26(1,2,3,4) is 8-connected; of 4,800 sampled root choices on
-    # sparse circulants, only these roots needed the flower stage.
+def test_find_kite_on_former_flower_circulant_roots():
+    # C26(1,2,3,4) is 8-connected, and these roots needed the flower
+    # stage on the lowest-neighbour-first linkage path.  On the shortest
+    # one they take claim1; flowers are now reached through assemble on
+    # pinned and walked linkage paths (below).
     g = _circulant(26, (1, 2, 3, 4))
     res = find_kite(g, RootQuadruple(23, 0, 17, 9))
     assert res.as_json() == {
         "roots": [23, 0, 17, 9],
-        "cycle": [0, 23, 1, 2, 3, 6, 10, 13, 17, 20, 24],
-        "pendant": [0, 4, 5, 9],
-        "stage": "flower",
+        "cycle": [0, 1, 23, 19, 17, 13, 10, 6, 3],
+        "pendant": [0, 2, 5, 9],
+        "stage": "claim1",
     }
 
 
 def test_find_kite_reaches_claim3_on_circulant():
-    # These roots reach claim3 in about a millisecond.  Roots
-    # (28, 13, 12, 5) on the same host reach it too, but only after a
-    # 2 s two_linkage call.
-    g = _circulant(30, (1, 2, 4, 7))
-    res = find_kite(g, RootQuadruple(9, 24, 19, 18), FindKiteOptions(try_direct=False))
+    # Of the sampled root choices on sparse circulants, few reach claim3
+    # on the shortest linkage path; these do.
+    g = _circulant(20, (1, 3, 5, 7))
+    res = find_kite(g, RootQuadruple(19, 16, 8, 6), FindKiteOptions(try_direct=False))
     assert res.as_json() == {
-        "roots": [9, 24, 19, 18],
-        "cycle": [5, 9, 8, 15, 16, 17, 19, 23, 24, 28],
-        "pendant": [24, 22, 18],
+        "roots": [19, 16, 8, 6],
+        "cycle": [0, 1, 8, 9, 16, 19],
+        "pendant": [16, 13, 6],
         "stage": "claim3",
     }
 
@@ -612,10 +613,10 @@ def _assembly_corpus():
     """Root choices over sparse circulants and K9 minus a 4-matching.
 
     30 seeded roots on each of C_n(1,2,3,4), C_n(1,2,4,7) and
-    C_n(1,3,5,7) for n in {20, 26, 30}; with seed 2000 + n every
-    two_linkage call returns within a few milliseconds, clear of its
-    known tail.  Then every third root choice on K9 minus a 4-matching,
-    and the claim3 and flower instances above.
+    C_n(1,3,5,7) for n in {20, 26, 30}, with seed 2000 + n.  Then every
+    third root choice on K9 minus a 4-matching, the roots that took
+    claim3 and flower on the lowest-neighbour-first linkage path, and
+    the claim3 instance above.
     """
     for n in (20, 26, 30):
         for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
@@ -628,6 +629,7 @@ def _assembly_corpus():
         yield g, RootQuadruple(*quad)
     yield _circulant(30, (1, 2, 4, 7)), RootQuadruple(9, 24, 19, 18)
     yield _circulant(26, (1, 2, 3, 4)), RootQuadruple(23, 0, 17, 9)
+    yield _circulant(20, (1, 3, 5, 7)), RootQuadruple(19, 16, 8, 6)
 
 
 def test_find_kite_assemblies_match_golden_digest(monkeypatch):
@@ -649,10 +651,10 @@ def test_find_kite_assemblies_match_golden_digest(monkeypatch):
         assert res.stage == ("claim1" if taken[-1] == "crossing" else taken[-1])
         digest.update(repr((res.stage, res.kite)).encode())
     assert Counter(taken) == {
-        "claim1": 1073, "crossing": 158, "claim2": 47, "claim3": 1, "flower": 1
+        "claim1": 1265, "claim2": 15, "claim3": 1
     }
     assert digest.hexdigest() == (
-        "79cfd5b02fbacb2568c0cd90f281b610807e2c00918d6532e55798742c5f8652"
+        "2580cdbea35bb223031891e61ff438c56d01c7f0aeb907958816c30d6f641df8"
     )
 
 
@@ -667,8 +669,8 @@ def _fans(g, roots):
 @pytest.mark.parametrize(
     "n, offsets, roots, l, stage, cycle, pendant",
     [
-        # The flower and claim3 find_kite regressions above, on the path
-        # two_linkage returns for them.
+        # Roots that took flower and claim3 through find_kite when
+        # two_linkage grew its path lowest neighbour first, on that path.
         (
             26, (1, 2, 3, 4), (23, 0, 17, 9),
             (23, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 17),
@@ -679,8 +681,8 @@ def _fans(g, roots):
             (9, 2, 0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19),
             "claim3", (5, 9, 8, 15, 16, 17, 19, 23, 24, 28), (24, 22, 18),
         ),
-        # two_linkage takes about 2 s to find this path; assemble then
-        # needs well under a millisecond.
+        # The lowest-neighbour-first search took about 2 s to find this
+        # path; assemble needs well under a millisecond on it.
         (
             30, (1, 2, 4, 7), (28, 13, 12, 5),
             (28, 0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12),

@@ -5,15 +5,23 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kitelink.errors import BudgetExceeded, DuplicateTerminals, PreconditionViolated
+from kitelink import linkage
+from kitelink.constructor import FindKiteOptions, find_kite
+from kitelink.errors import (
+    BudgetExceeded,
+    DuplicateTerminals,
+    LinkageBudgetExceeded,
+    PreconditionViolated,
+)
 from kitelink.generators import gen_complete_minus_matching
-from kitelink.graphs import Graph
+from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding, vertex_mask
 from kitelink.linkage import LinkagePair, two_linkage
+from kitelink.structures import RootQuadruple, verify_kite
 
-from bruteforce import two_linkage_oracle
+from bruteforce import all_simple_paths, two_linkage_oracle
 
 
 def _check_pair(g: Graph, pair: LinkagePair, s1, t1, s2, t2) -> None:
@@ -88,3 +96,139 @@ def test_solver_is_deterministic():
     g = gen_complete_minus_matching(8, 2)
     runs = {two_linkage(g, 0, 5, 3, 6) for _ in range(3)}
     assert len({(p.l.vertices, p.lprime.vertices) for p in runs}) == 1
+
+
+def test_solver_rejects_nonpositive_budget():
+    g = gen_complete_minus_matching(6, 0)
+    for budget in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            two_linkage(g, 0, 1, 2, 3, budget)
+
+
+def _search_only(g: Graph, s1, t1, s2, t2):
+    """two_linkage's search with no greedy walk in front, no memo, and
+    every cap from the distance d(s1, t1) in g - {s2, t2} up to n - 1."""
+    dist = {}
+    for v in g.vertices():
+        path = shortest_avoiding(g, v, t1, vertex_mask((s2, t2)))
+        if path is not None and v not in (s2, t2):
+            dist[v] = len(path) - 1
+    if s1 not in dist:
+        return None
+
+    def grow(path, cap):
+        for w in sorted((w for w in g.neighbors(path[-1]) if w in dist), key=lambda w: (dist[w], w)):
+            if w in path or len(path) + dist[w] > cap:
+                continue
+            if not connected_avoiding(g, s2, t2, vertex_mask(path + [w])):
+                continue
+            if w == t1:
+                return path + [w]
+            found = grow(path + [w], cap)
+            if found is not None:
+                return found
+        return None
+
+    for cap in range(dist[s1], g.n):
+        first = grow([s1], cap)
+        if first is not None:
+            return first, shortest_avoiding(g, s2, t2, vertex_mask(first))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=109243)  # the walk fails, and a cap past the least cut sum finds a longer path
+def test_solver_is_its_search_alone_with_a_shortest_first_path(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    g = _random_graph(rng, n, rng.choice((0.25, 0.4, 0.6, 0.9)))
+    s1, t1, s2, t2 = rng.sample(range(n), 4)
+    got = two_linkage(g, s1, t1, s2, t2)
+    want = _search_only(g, s1, t1, s2, t2)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert (list(got.l.vertices), list(got.lprime.vertices)) == want
+    linked = [
+        p
+        for p in all_simple_paths(g, s1, t1, frozenset((s2, t2)))
+        if next(all_simple_paths(g, s2, t2, frozenset(p)), None) is not None
+    ]
+    assert len(got.l) == min(len(p) for p in linked)
+
+
+def _ladder_host(levels: int = 3) -> Graph:
+    """Roots (0, 1, 2, 3).  Every shortest x1-x3 path runs x1, then a1
+    and a ladder of two vertices a level, or a plain track c, then
+    m1-m4 and x3; x4 sees only a1 and vertices every such path takes, so
+    only the c track leaves an x2-x4 path (x2, a1, x4).  A longer arc b
+    closes the terminal fan at x2 (degree 7), and x4 has degree 7."""
+    x1, x2, x3, x4 = 0, 1, 2, 3
+    b = list(range(4, 10 + levels))  # one edge longer than a shortest path
+    a1 = b[-1] + 1
+    ladder = [(a1 + 1 + 2 * i, a1 + 2 + 2 * i) for i in range(levels)]
+    c = list(range(ladder[-1][1] + 1, ladder[-1][1] + 2 + levels))
+    m = list(range(c[-1] + 1, c[-1] + 5))
+    track = [(a1,)] + ladder + [(m[0],)]
+    edges = list(zip([x1] + b, b + [x3])) + [(x1, a1)]
+    edges += [(u, v) for s, t in zip(track, track[1:]) for u in s for v in t]
+    edges += list(zip([x1] + c, c + [m[0]])) + list(zip(m, m[1:] + [x3]))
+    edges += [(x2, v) for v in (x1, x3, a1, c[0], m[0], b[3], b[4])]
+    edges += [(x4, v) for v in (a1, x1, x3, *m)]
+    return Graph(m[-1] + 1, edges)
+
+
+def test_solver_searches_when_the_greedy_walk_cuts_the_second_pair():
+    g = _ladder_host()
+    pair = two_linkage(g, 0, 2, 1, 3)
+    _check_pair(g, pair, 0, 2, 1, 3)
+    assert len(pair.l) == len(shortest_avoiding(g, 0, 2, vertex_mask((1, 3))))
+    assert 13 not in pair.l.vertices  # a1, where the greedy walk turns
+    with pytest.raises(LinkageBudgetExceeded) as exc:
+        two_linkage(g, 0, 2, 1, 3, budget=1)
+    assert exc.value.stage == "linkage"
+    assert isinstance(exc.value, BudgetExceeded)
+
+
+def test_find_kite_falls_back_when_the_linkage_budget_runs_out():
+    # The search spends 56 expansions here, the exhaustive fallback 18.
+    g = _ladder_host()
+    roots = RootQuadruple(0, 1, 2, 3)
+    res = find_kite(g, roots, FindKiteOptions(try_direct=False, budget=30))
+    assert res.stage == "fallback"
+    assert [d.stage for d in res.diagnostics] == ["linkage"]
+    assert verify_kite(g, roots, res.kite)
+    with pytest.raises(LinkageBudgetExceeded):
+        find_kite(g, roots, FindKiteOptions(try_direct=False, allow_fallback=False, budget=30))
+    assert find_kite(g, roots, FindKiteOptions(try_direct=False)).diagnostics == ()
+
+
+def _circulant(n, offsets):
+    return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in offsets}))
+
+
+@pytest.mark.parametrize(
+    "n, offsets, roots",
+    [
+        # Each took the lowest-neighbour-first search 2 s or more.
+        (34, (1, 2, 4, 7), (30, 10, 31, 4)),
+        (40, (1, 2, 3, 4), (37, 8, 16, 17)),
+        (40, (1, 2, 4, 7), (5, 0, 24, 17)),
+        (30, (1, 2, 4, 7), (28, 13, 12, 5)),
+    ],
+)
+def test_solver_tail_instances_take_one_connectivity_check(monkeypatch, n, offsets, roots):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return connected_avoiding(*args)
+
+    monkeypatch.setattr(linkage, "connected_avoiding", counting)
+    g = _circulant(n, offsets)
+    x1, x2, x3, x4 = roots
+    pair = two_linkage(g, x1, x3, x2, x4)
+    _check_pair(g, pair, x1, x3, x2, x4)
+    assert len(calls) <= 2
+    assert len(pair.l) == len(shortest_avoiding(g, x1, x3, vertex_mask((x2, x4))))
