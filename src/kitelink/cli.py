@@ -15,6 +15,7 @@ import sys
 from .constructor import FindKiteOptions, find_kite
 from .errors import (
     BudgetExceeded,
+    DEFAULT_BUDGET,
     ConstructionFailed,
     FormatError,
     KitelinkError,
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     for name in ("x1", "x2", "x3", "x4"):
         p.add_argument(name, type=int)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--check-connectivity", action="store_true")
     p.add_argument("--no-fallback", action="store_true")
     p.set_defaults(func=_cmd_kite_find)
@@ -262,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     for name in ("x1", "x2", "x3", "x4"):
         p.add_argument(name, type=int)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_kite_oracle)
 
     p = ksub.add_parser("linked", help="decide kite-linkage of a whole graph")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_kite_linked)
 
     gen = sub.add_parser("gen", help="instance generators")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--roots", choices=("sampled", "exhaustive"), default="sampled")
     p.add_argument("--oracle-fraction", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_trials)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    DEFAULT_BUDGET,
     AssemblyFailed,
     BudgetExceeded,
     ConstructionFailed,
@@ -114,7 +115,7 @@ class FindKiteOptions:
     verify_connectivity: bool = False
     try_direct: bool = True
     allow_fallback: bool = True
-    budget: int = 10_000_000  # expansions for two_linkage's search and for the fallback
+    budget: int = DEFAULT_BUDGET  # expansions for two_linkage's search and for the fallback
 
     def __post_init__(self):
         if self.budget < 1:
@@ -528,7 +529,7 @@ def _arcs(cycle: tuple[int, ...], a: int, b: int) -> tuple[list[int], list[int]]
     return list(turn[: j + 1]), [a] + list(turn[j:][::-1])
 
 
-def resolve_flower(g: Graph, f: Flower, budget: int = 10_000_000) -> KiteSubdivision:
+def resolve_flower(g: Graph, f: Flower, budget: int = DEFAULT_BUDGET) -> KiteSubdivision:
     """Turn a verified flower into a rooted kite built from its pieces.
 
     The cycle runs from x2 along an arc of c1 to x1, down p1, around c3

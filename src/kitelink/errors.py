@@ -64,6 +64,10 @@ class InvalidBaseFan(PreconditionViolated):
     pass
 
 
+# Node expansions a bounded search may spend unless its caller says otherwise.
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetExceeded(KitelinkError):
     """A bounded search ran out of node expansions before deciding."""
 

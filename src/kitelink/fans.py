@@ -118,19 +118,9 @@ def _validate_fan_args(g: Graph, x: int, s: frozenset[int], k: int) -> None:
         raise PreconditionViolated(f"target set of size {len(s)} cannot host a {k}-fan")
 
 
-def _sorted_arms(arms: list[list[int]]) -> list[Path]:
-    return sorted((Path(a) for a in arms), key=lambda p: (p.last, p.vertices))
-
-
 def find_fan(g: Graph, x: int, s: frozenset[int] | set[int], k: int) -> Fan | None:
     """A k-fan from x into s, or None when no such fan exists."""
-    s = frozenset(s)
-    _validate_fan_args(g, x, s, k)
-    net = g.split_network()
-    cap = net.residual(dict.fromkeys(s, 1))
-    if net.max_flow(cap, x, s, k) < k:
-        return None
-    return Fan(x, tuple(_sorted_arms(net.arms(cap, x))))
+    return extend_fan(g, x, s, Fan(x, ()), k)
 
 
 def extend_fan(
@@ -159,7 +149,8 @@ def extend_fan(
         net.route(cap, arm.vertices)
     if net.max_flow(cap, x, s, k - base.k) < k - base.k:
         return None
-    fan = Fan(x, tuple(_sorted_arms(net.arms(cap, x))))
+    arms = sorted((Path(a) for a in net.arms(cap, x)), key=lambda p: (p.last, p.vertices))
+    fan = Fan(x, tuple(arms))
     missing = set(base.endpoints()) - set(fan.endpoints())
     if missing:
         raise InvariantViolation(f"extension dropped endpoints {sorted(missing)}")

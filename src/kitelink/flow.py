@@ -93,7 +93,7 @@ class SplitNetwork:
             out_arcs[v].append(add_arc(exit_(v), entry(u), 1))
         self.sink_arcs = tuple(add_arc(entry(v), self.sink, 0) for v in range(g.n))
         self.head = tuple(head)
-        self.masks = tuple(g.adjacency_mask(v) for v in range(g.n))
+        self.masks = g._masks  # the graph's own adjacency bitmasks
         self.base = tuple(base)
         self.adj = tuple(tuple(arcs) for arcs in adj)
         # Edges are sorted, so each vertex's out-arcs run by ascending head.
@@ -111,14 +111,11 @@ class SplitNetwork:
             cap[self.sink_arcs[t]] = mult
         return cap
 
-    def augment(self, cap: list[int], source: int) -> bool:
-        """Push one unit along a shortest residual path from source to
-        the sink; False if there is none.
-
-        The search stops when it reaches the sink, so the arcs out of the
-        sink are never scanned and no augmentation lowers the flow that
-        an absorbing arc already carries.
-        """
+    def _search(self, cap: list[int], source: int) -> list[int]:
+        """Breadth-first search from source through positive residual
+        capacity, stopping at the sink: entry v is the arc that first
+        reached node v, -2 at the source and -1 where none did.  When
+        the sink is out of reach every node source reaches is marked."""
         head, adj, sink = self.head, self.adj, self.sink
         prev_arc = [-1] * self.num_nodes
         prev_arc[source] = -2
@@ -130,14 +127,24 @@ class SplitNetwork:
                     if prev_arc[v] == -1:
                         prev_arc[v] = aid
                         if v == sink:
-                            while v != source:
-                                aid = prev_arc[v]
-                                cap[aid] -= 1
-                                cap[aid ^ 1] += 1
-                                v = head[aid ^ 1]
-                            return True
+                            return prev_arc
                         order.append(v)
-        return False
+        return prev_arc
+
+    def augment(self, cap: list[int], source: int) -> bool:
+        """Push one unit along a shortest residual path from source to
+        the sink; False if there is none.  The search stops at the sink,
+        so no augmentation lowers the flow an absorbing arc carries."""
+        prev_arc = self._search(cap, source)
+        v = self.sink
+        if prev_arc[v] == -1:
+            return False
+        while v != source:
+            aid = prev_arc[v]
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            v = self.head[aid ^ 1]
+        return True
 
     def max_flow(self, cap: list[int], x: int, targets: Iterable[int], limit: int) -> int:
         """Send up to limit units from vertex x into the query's targets:
@@ -217,34 +224,21 @@ class SplitNetwork:
             arms.append(arm)
         return arms
 
-    def reachable(self, cap: list[int], source: int) -> set[int]:
-        """Nodes reachable through positive residual capacity."""
-        head, adj = self.head, self.adj
-        seen = {source}
-        order = [source]
-        for u in order:
-            for aid in adj[u]:
-                if cap[aid] > 0:
-                    v = head[aid]
-                    if v not in seen:
-                        seen.add(v)
-                        order.append(v)
-        return seen
-
     def min_cut(self, cap: list[int], x: int, t: int) -> frozenset[int]:
         """The vertex cut behind a max flow from x into {t} that stopped
-        short of its limit, read from that query's residual."""
-        reach = self.reachable(cap, exit_(x))
+        short of its limit, read from the nodes that augment's search
+        still reaches in that query's residual."""
+        prev_arc = self._search(cap, exit_(x))
         cut: set[int] = set()
         for v, aid in enumerate(self.split_arcs):
-            if cap[aid] == 0 and entry(v) in reach and exit_(v) not in reach:
+            if cap[aid] == 0 and prev_arc[entry(v)] != -1 and prev_arc[exit_(v)] == -1:
                 cut.add(v)
         for a, arcs in enumerate(self.out_arcs):
-            if exit_(a) not in reach:
+            if prev_arc[exit_(a)] == -1:
                 continue
             for aid in arcs:
                 b = self.head[aid] >> 1
-                if cap[aid] == 0 and entry(b) not in reach and b != t and b != x:
+                if cap[aid] == 0 and prev_arc[entry(b)] == -1 and b != t and b != x:
                     cut.add(b)
         return frozenset(cut)
 

@@ -24,8 +24,9 @@ if TYPE_CHECKING:
 class Graph:
     """An immutable simple undirected graph.
 
-    Derived read-only structures (adjacency bitmasks, the flow network)
-    are built on first use and kept; equality and hashing ignore them.
+    Each vertex's adjacency bitmask is built with its neighbour tuple;
+    the flow network is built on first use and kept.  Equality and
+    hashing ignore both.
     """
 
     __slots__ = ("n", "_edges", "_adj", "_masks", "_split")
@@ -34,24 +35,26 @@ class Graph:
         if n < 0:
             raise VertexOutOfRange(f"vertex count {n} is negative")
         self.n = n
-        seen: set[tuple[int, int]] = set()
+        keys: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise LoopEdge(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if masks[u] >> v & 1:
                 continue
-            seen.add(e)
+            keys.append((u, v) if u < v else (v, u))
             adj[u].append(v)
             adj[v].append(u)
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(keys))
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nbrs)) for nbrs in adj
         )
-        self._masks: tuple[int, ...] | None = None
+        self._masks: tuple[int, ...] = tuple(masks)
         self._split: SplitNetwork | None = None
 
     @property
@@ -75,19 +78,9 @@ class Graph:
         return min((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return v in self._adj[u]
+        return 0 <= u < self.n and 0 <= v < self.n and self._masks[u] >> v & 1 == 1
 
     def adjacency_mask(self, v: int) -> int:
-        if self._masks is None:
-            masks = []
-            for u in range(self.n):
-                m = 0
-                for w in self._adj[u]:
-                    m |= 1 << w
-                masks.append(m)
-            self._masks = tuple(masks)
         return self._masks[v]
 
     def split_network(self) -> SplitNetwork:
@@ -254,16 +247,19 @@ def parse_graph_json(obj: object) -> Graph:
             raise MalformedLine(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise MalformedLine("JSON graph needs 'n' and 'edges' keys")
-    n = obj["n"]
-    if not isinstance(n, int):
+    n, items = obj["n"], obj["edges"]
+    # JSON true and false arrive as bool, a subclass of int: reject them.
+    if type(n) is not int:
         raise MalformedLine("'n' must be an integer")
+    if not isinstance(items, (list, tuple)):
+        raise MalformedLine("'edges' must be a list of pairs")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for item in obj["edges"]:
+    for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise MalformedLine(f"edge entry {item!r} must be a pair")
         u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise MalformedLine(f"edge entry {item!r} must hold integers")
         edges.append(_edge_key(u, v, n, seen))
     return Graph(n, edges)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .constructor import FindKiteOptions, find_kite
-from .errors import BudgetExceeded, KitelinkError, PreconditionViolated
+from .errors import DEFAULT_BUDGET, BudgetExceeded, KitelinkError, PreconditionViolated
 from .generators import gen_complete_minus_matching, gen_random_kconnected
 from .graphs import Graph
 from .oracle import SearchBudget, find_kite_exhaustive
@@ -36,7 +36,7 @@ class TrialConfig:
     seed: int = 0
     roots: str = "sampled"  # "sampled" or "exhaustive"
     oracle_fraction: float = 0.0
-    budget: int = 10_000_000
+    budget: int = DEFAULT_BUDGET
     timing: bool = False
 
     def __post_init__(self):

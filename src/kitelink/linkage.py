@@ -2,14 +2,15 @@
 
 The first path is a shortest one that some second path avoids.  A
 greedy walk down the breadth-first layers around t1 usually is that
-path, and one connectivity check on the whole walk proves it.  When the
-check fails, an iterative-deepening search on the length of the first
-path takes over.  It has a connectivity prune and memoized dead states,
-and raises its length cap until no simple path is left, so it is
-complete (never a false NotFound) though exponential in the worst case.
-Every 6-connected graph admits the linkage (it is non-planar, hence
-2-linked: Seymour 1980, Thomassen 1980), which is the regime the kite
-pipeline calls it in.  There the walk almost always suffices: over
+path, and the one breadth-first search that finds a second path
+around the whole walk both proves it and returns that second path.
+When there is no second path, an iterative-deepening search on the
+length of the first path takes over.  It has a connectivity prune and
+memoized dead states, and raises its length cap until no simple path
+is left, so it is complete (never a false NotFound) though exponential
+in the worst case.  Every 6-connected graph admits the linkage (it is
+non-planar, hence 2-linked: Seymour 1980, Thomassen 1980), which is the
+regime the kite pipeline calls it in.  There the walk almost always suffices: over
 15,600 calls on sparse 8-connected circulants (n = 18 to 40) and random
 7-connected 40-vertex graphs the search never ran, and on a 2-core Xeon
 the median call took 0.015 ms and the 99th percentile 0.046 ms (the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateTerminals, LinkageBudgetExceeded, PreconditionViolated
+from .errors import DEFAULT_BUDGET, DuplicateTerminals, LinkageBudgetExceeded, PreconditionViolated
 from .graphs import Graph, connected_avoiding, shortest_avoiding, vertex_mask
 from .paths import Path
 
@@ -63,17 +64,19 @@ def _layers(g: Graph, root: int, banned: int, stop: int) -> list[int]:
 
 
 def two_linkage(
-    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: int = 10_000_000
+    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: int = DEFAULT_BUDGET
 ) -> LinkagePair | None:
     """Vertex-disjoint paths s1->t1 and s2->t2, or None if none exist.
 
     The first path is as short as the first path of any linkage.  Among
     those of one length it is the first found by a search that tries
     neighbours by distance to t1 in g minus {s2, t2}, lowest vertex
-    first.  The second path is a shortest path in what remains.  Both
-    are deterministic.  The search behind the greedy walk spends at most
-    budget expansions, else LinkageBudgetExceeded (a StageFailure, so
-    find_kite falls back to the exhaustive search).
+    first.  The second path is a shortest path in what remains, and the
+    one breadth-first search that finds it around the greedy walk is
+    also what proves the walk.  Both are deterministic.  When that
+    search finds no second path, the deepening search takes over; it
+    spends at most budget expansions, else LinkageBudgetExceeded (a
+    StageFailure, so find_kite falls back to the exhaustive search).
     """
     _validate_terminals(g, s1, t1, s2, t2)
     if budget < 1:
@@ -86,11 +89,12 @@ def two_linkage(
     for layer in reversed(layers[:-1]):
         m = g.adjacency_mask(first[-1]) & layer
         first.append((m & -m).bit_length() - 1)
-    if not connected_avoiding(g, s2, t2, vertex_mask(first)):
+    second = shortest_avoiding(g, s2, t2, vertex_mask(first))
+    if second is None:
         first = _deepening_search(g, s1, t1, s2, t2, len(layers) - 1, budget)
         if first is None:
             return None
-    second = shortest_avoiding(g, s2, t2, vertex_mask(first))
+        second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     return LinkagePair(Path(first), Path(second))
 
 

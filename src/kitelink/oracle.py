@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, GraphTooSmall, PreconditionViolated
+from .errors import DEFAULT_BUDGET, BudgetExceeded, GraphTooSmall, PreconditionViolated
 from .graphs import Graph, connected_avoiding
 from .paths import Cycle, Path
 from .structures import KiteSubdivision, RootQuadruple
@@ -26,7 +26,7 @@ class SearchBudget:
     complete within the budget.
     """
 
-    max_expansions: int = 10_000_000
+    max_expansions: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.max_expansions < 1:

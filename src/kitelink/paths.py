@@ -21,8 +21,43 @@ from .errors import (
 from .graphs import Graph
 
 
-class Path:
+class _Walk:
+    """What Path and Cycle share: a tuple of distinct vertices that
+    compares, hashes and prints together with its kind.  A closed walk's
+    edges wrap around from the last vertex to the first."""
+
     __slots__ = ("vertices",)
+    _closed = False
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.vertices)
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.vertices
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.vertices))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.vertices)})"
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        vs = self.vertices
+        for a, b in zip(vs, vs[1:] + vs[:1] if self._closed else vs[1:]):
+            yield (a, b) if a < b else (b, a)
+
+    def is_walk_in(self, g: Graph) -> bool:
+        return all(g.has_edge(a, b) for a, b in self.edges())
+
+
+class Path(_Walk):
+    __slots__ = ()
 
     def __init__(self, vertices: Sequence[int]):
         vs = tuple(vertices)
@@ -40,24 +75,6 @@ class Path:
     def last(self) -> int:
         return self.vertices[-1]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Path) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(("Path", self.vertices))
-
-    def __repr__(self) -> str:
-        return f"Path({list(self.vertices)})"
-
     def reverse(self) -> "Path":
         return Path(self.vertices[::-1])
 
@@ -66,15 +83,6 @@ class Path:
             return self.vertices.index(v)
         except ValueError:
             raise VertexNotOnPath(f"{v} not on {self!r}") from None
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs) - 1):
-            a, b = vs[i], vs[i + 1]
-            yield (a, b) if a < b else (b, a)
-
-    def is_walk_in(self, g: Graph) -> bool:
-        return all(g.has_edge(a, b) for a, b in self.edges())
 
 
 def normalize_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -90,10 +98,11 @@ def normalize_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
-class Cycle:
+class Cycle(_Walk):
     """A simple cycle on >= 3 distinct vertices, stored in canonical form."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
+    _closed = True
 
     def __init__(self, vertices: Sequence[int]):
         vs = tuple(vertices)
@@ -102,33 +111,6 @@ class Cycle:
         if len(set(vs)) != len(vs):
             raise InvalidCycle(f"cycle repeats a vertex: {vs}")
         self.vertices = normalize_cycle(vs)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Cycle) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(("Cycle", self.vertices))
-
-    def __repr__(self) -> str:
-        return f"Cycle({list(self.vertices)})"
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs)):
-            a, b = vs[i], vs[(i + 1) % len(vs)]
-            yield (a, b) if a < b else (b, a)
-
-    def is_walk_in(self, g: Graph) -> bool:
-        return all(g.has_edge(a, b) for a, b in self.edges())
 
 
 def subpath(p: Path, a: int, b: int) -> Path:

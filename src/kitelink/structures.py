@@ -90,12 +90,12 @@ def kite_from_json(obj: object) -> tuple[RootQuadruple, KiteSubdivision]:
     roots = obj["roots"]
     if not (isinstance(roots, (list, tuple)) and len(roots) == 4):
         raise MalformedLine("kite JSON 'roots' must list four vertices")
-    if not all(isinstance(r, int) for r in roots):
+    if not all(type(r) is int for r in roots):
         raise MalformedLine(f"kite JSON 'roots' must list integer vertices, got {roots!r}")
     rq = RootQuadruple(*roots)
     for key in ("cycle", "pendant"):
         part = obj[key]
-        if not (isinstance(part, (list, tuple)) and all(isinstance(v, int) for v in part)):
+        if not (isinstance(part, (list, tuple)) and all(type(v) is int for v in part)):
             raise MalformedLine(f"kite JSON {key!r} must list integer vertices")
     return rq, KiteSubdivision(tuple(obj["cycle"]), tuple(obj["pendant"]))
 
@@ -128,22 +128,11 @@ class Flower:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-def _check_cycle(g: Graph, vs: Sequence[int], name: str) -> str | None:
-    if len(vs) < 3:
+def _check_walk(g: Graph, vs: Sequence[int], name: str, closed: bool) -> str | None:
+    """The first problem with vs as a simple path of g, or as a simple
+    cycle when closed; None when there is none."""
+    if closed and len(vs) < 3:
         return f"{name} has fewer than 3 vertices"
-    if len(set(vs)) != len(vs):
-        return f"{name} repeats a vertex"
-    for v in vs:
-        if not 0 <= v < g.n:
-            return f"{name} uses out-of-range vertex {v}"
-    for i in range(len(vs)):
-        a, b = vs[i], vs[(i + 1) % len(vs)]
-        if not g.has_edge(a, b):
-            return f"{name} uses missing edge {a}-{b}"
-    return None
-
-
-def _check_path(g: Graph, vs: Sequence[int], name: str) -> str | None:
     if len(vs) < 2:
         return f"{name} has no edge"
     if len(set(vs)) != len(vs):
@@ -151,7 +140,7 @@ def _check_path(g: Graph, vs: Sequence[int], name: str) -> str | None:
     for v in vs:
         if not 0 <= v < g.n:
             return f"{name} uses out-of-range vertex {v}"
-    for a, b in zip(vs, vs[1:]):
+    for a, b in zip(vs, vs[1:] + vs[:1] if closed else vs[1:]):
         if not g.has_edge(a, b):
             return f"{name} uses missing edge {a}-{b}"
     return None
@@ -162,7 +151,7 @@ def verify_kite(g: Graph, roots: RootQuadruple, kite: KiteSubdivision) -> Verdic
     if not roots.in_range(g.n):
         return Verdict(False, "root outside graph")
     cyc, pen = kite.cycle, kite.pendant
-    bad = _check_cycle(g, cyc, "cycle")
+    bad = _check_walk(g, cyc, "cycle", closed=True)
     if bad:
         return Verdict(False, bad)
     for name, root in (("x1", roots.x1), ("x2", roots.x2), ("x3", roots.x3)):
@@ -170,7 +159,7 @@ def verify_kite(g: Graph, roots: RootQuadruple, kite: KiteSubdivision) -> Verdic
             return Verdict(False, f"{name}={root} not on cycle")
     if roots.x4 in cyc:
         return Verdict(False, f"x4={roots.x4} lies on cycle")
-    bad = _check_path(g, pen, "pendant")
+    bad = _check_walk(g, pen, "pendant", closed=False)
     if bad:
         return Verdict(False, bad)
     if pen[0] != roots.x2:
@@ -204,7 +193,7 @@ def verify_flower(g: Graph, f: Flower) -> Verdict:
     if not roots.in_range(g.n):
         return Verdict(False, "root outside graph")
     for name, part in (("c1", f.c1), ("c2", f.c2), ("c3", f.c3)):
-        bad = _check_cycle(g, part, name)
+        bad = _check_walk(g, part, name, closed=True)
         if bad:
             return Verdict(False, bad)
     if roots.x1 not in f.c1:
@@ -220,7 +209,7 @@ def verify_flower(g: Graph, f: Flower) -> Verdict:
     spokes = (("p1", f.p1, roots.x1, f.v1), ("p2", f.p2, roots.x2, f.v2),
               ("p3", f.p3, roots.x3, f.v3))
     for name, p, src, landing in spokes:
-        bad = _check_path(g, p, name)
+        bad = _check_walk(g, p, name, closed=False)
         if bad:
             return Verdict(False, bad)
         if p[0] != src:

@@ -75,6 +75,22 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"n": 3, "edges": null}',
+        '{"n": 3, "edges": 7}',
+        '{"n": 3, "edges": [[0, 1], [true, 2]]}',
+    ],
+)
+def test_malformed_json_graph_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code, out, err = _run(capsys, "conn", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_non_utf8_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe")
@@ -153,6 +169,8 @@ def test_kite_find_verify_roundtrip(tmp_path, capsys):
         '{"roots": [0, 1, 2, 3], "cycle": null, "pendant": [1, 3]}',
         '{"roots": [0, 1, 2, 3], "cycle": ["x", 1, 2], "pendant": [1, 3]}',
         '{"roots": [0, 1, 2, 3.9], "cycle": [0, 1, 2], "pendant": [1, 3]}',
+        '{"roots": [0, true, 2, 3], "cycle": [0, 1, 2], "pendant": [1, 3]}',
+        '{"roots": [0, 1, 2, 3], "cycle": [0, true, 2], "pendant": [true, 3]}',
     ],
 )
 def test_kite_verify_malformed_kite_file_exits_2(tmp_path, capsys, payload):

@@ -47,6 +47,7 @@ def test_has_edge_and_masks():
     assert g.has_edge(2, 0) and g.has_edge(2, 4)
     assert not g.has_edge(0, 4)
     assert not g.has_edge(0, 9)
+    assert not g.has_edge(-1, 0) and not g.has_edge(0, -1) and not g.has_edge(4, -1)
     assert g.adjacency_mask(2) == (1 << 0) | (1 << 4)
     assert g.degree(2) == 2 and g.min_degree() == 0
 
@@ -89,6 +90,16 @@ def test_json_roundtrip_and_rejections():
         parse_graph_json({"n": 3, "edges": [[0, 1, 2]]})
     with pytest.raises(DuplicateEdge):
         parse_graph_json({"n": 3, "edges": [[0, 1], [1, 0]]})
+    # Edges that are not a list, and JSON booleans where integers belong.
+    for text in (
+        '{"n": 3, "edges": null}',
+        '{"n": 3, "edges": 5}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[0, false]]}',
+    ):
+        with pytest.raises(MalformedLine):
+            parse_graph_json(text)
 
 
 @pytest.mark.parametrize(

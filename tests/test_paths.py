@@ -67,6 +67,15 @@ def test_cycle_edges_wrap():
     assert not Cycle((0, 1, 3)).is_walk_in(g)
 
 
+def test_path_and_cycle_on_the_same_vertices_differ():
+    p, c = Path((0, 1, 2)), Cycle((0, 1, 2))
+    assert p.vertices == c.vertices
+    assert p != c and c != p
+    assert hash(p) != hash(c)
+    assert len({p, c}) == 2
+    assert repr(p) == "Path([0, 1, 2])" and repr(c) == "Cycle([0, 1, 2])"
+
+
 def test_subpath_orientation():
     p = Path((5, 2, 8, 1, 9))
     assert subpath(p, 2, 1) == Path((2, 8, 1))

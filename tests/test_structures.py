@@ -62,6 +62,9 @@ def test_kite_json_roundtrip():
         {"roots": [0, 1, 2, 3], "cycle": None, "pendant": [1, 3]},
         {"roots": [0, 1, 2, 3], "cycle": ["x", 1, 2], "pendant": [1, 3]},
         {"roots": [0, 1, 2, 3], "cycle": [0, 1, 2], "pendant": [1, 3.5]},
+        {"roots": [0, True, 2, 3], "cycle": [0, 1, 2], "pendant": [1, 3]},
+        {"roots": [0, 1, 2, 3], "cycle": [False, 1, 2], "pendant": [1, 3]},
+        {"roots": [0, 1, 2, 3], "cycle": [0, 1, 2], "pendant": [True, 3]},
     ):
         with pytest.raises(MalformedLine):
             kite_from_json(broken)
