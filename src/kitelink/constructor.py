@@ -66,9 +66,10 @@ class ApexFan:
     """The 7-fan from x4 into the terminal fan's vertex set.
 
     p is the arm ending at x2.  landings holds the arms ending on the
-    Q side paired with their landing vertices, ordered along the Q-paths
-    away from x2; side records whether the Q and R roles were swapped so
-    that the Q side owns at least three landings.
+    Q side paired with their landing vertices, ordered by Q-path and
+    along each away from x2, a landing at x1 last; side records whether
+    the Q and R roles were swapped so that the Q side owns at least
+    three landings.
     """
 
     p: Path
@@ -396,10 +397,6 @@ def claim2_assembly(
     return _checked(g, tf_o, cycle, pendant, "claim2")
 
 
-def _ordered_q1_landings(q1: Path, af: ApexFan) -> list[tuple[Path, int]]:
-    return sorted(af.landings, key=lambda t: (q1.index(t[1]), t[0].vertices))
-
-
 def claim3_assembly(
     g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks
 ) -> KiteSubdivision | None:
@@ -422,7 +419,7 @@ def claim3_assembly(
     q1 = tf_o.q[q1_idx]
     rest = [tf_o.q[i] for i in range(3) if i != q1_idx]
     try:
-        ws = _ordered_q1_landings(q1, af)
+        ws = af.landings
         arm1, w1 = ws[0]
         u = lm.u
         pendant = concat_paths([subpath(q1, x2, w1), subpath(arm1, w1, x4)])
@@ -460,7 +457,7 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     u, uprime, v, w = lm.u, lm.uprime, lm.v, lm.w
     p = af.p
     try:
-        ws = _ordered_q1_landings(q1, af)
+        ws = af.landings
         (arm1, w1), (arm2, w2) = ws[0], ws[1]
         c1 = concat_paths([rest[0], rest[1].reverse()])
         c2 = concat_paths([rrest[0], rrest[1].reverse()])
@@ -642,17 +639,13 @@ def find_kite(
         kite = _direct_kite(g, roots)
         if kite is not None:
             return FindKiteResult(roots, kite, "direct")
-    diagnostics: list[DiagnosticRecord] = []
     try:
         stage, kite = _pipeline(g, roots, options)
-        verdict = verify_kite(g, roots, kite)
-        if not verdict:
-            raise AssemblyFailed(f"pipeline kite rejected: {verdict.reason}")
-        return FindKiteResult(roots, kite, stage, tuple(diagnostics))
+        return FindKiteResult(roots, kite, stage)
     except StageFailure as exc:
-        diagnostics.append(DiagnosticRecord(exc.stage, str(exc), _fingerprint(g, roots)))
         if not options.allow_fallback:
             raise
+        diagnostic = DiagnosticRecord(exc.stage, str(exc), _fingerprint(g, roots))
     try:
         kite = find_kite_exhaustive(g, roots, SearchBudget(options.budget))
     except BudgetExceeded as exc:
@@ -662,4 +655,4 @@ def find_kite(
     verdict = verify_kite(g, roots, kite)
     if not verdict:
         raise InvariantViolation(f"fallback kite rejected: {verdict.reason}")
-    return FindKiteResult(roots, kite, "fallback", tuple(diagnostics))
+    return FindKiteResult(roots, kite, "fallback", (diagnostic,))

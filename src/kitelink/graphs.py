@@ -20,6 +20,11 @@ from .errors import (
 if TYPE_CHECKING:
     from .flow import SplitNetwork
 
+# The largest vertex count a Graph accepts, checked before anything is
+# allocated, so a declared count cannot ask for gigabytes.  Every host
+# in the tests and the benchmark has at most 80 vertices.
+MAX_VERTICES = 100_000
+
 
 class Graph:
     """An immutable simple undirected graph.
@@ -32,8 +37,8 @@ class Graph:
     __slots__ = ("n", "_edges", "_adj", "_masks", "_split")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise VertexOutOfRange(f"vertex count {n} is negative")
+        if not 0 <= n <= MAX_VERTICES:
+            raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
         self.n = n
         keys: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]

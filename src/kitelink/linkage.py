@@ -1,23 +1,24 @@
 """Two vertex-disjoint paths between prescribed terminal pairs.
 
-The first path is a shortest one that some second path avoids.  A
-greedy walk down the breadth-first layers around t1 usually is that
-path, and the one breadth-first search that finds a second path
-around the whole walk both proves it and returns that second path.
-When there is no second path, an iterative-deepening search on the
-length of the first path takes over.  It has a connectivity prune and
-memoized dead states, and raises its length cap until no simple path
-is left, so it is complete (never a false NotFound) though exponential
-in the worst case.  Every 6-connected graph admits the linkage (it is
-non-planar, hence 2-linked: Seymour 1980, Thomassen 1980), which is the
-regime the kite pipeline calls it in.  There the walk almost always suffices: over
+The first path is a shortest s1-t1 path that some second path avoids,
+whenever such a path exists.  A greedy walk down the breadth-first
+layers around t1 usually is that path, and the one breadth-first
+search that finds a second path around the whole walk both proves it
+and returns that second path.  When there is no second path, a
+depth-first search with a connectivity prune and memoized dead states
+takes over, in at most two passes: one capped at the distance from s1
+to t1, then one uncapped.  So it is complete (never a false NotFound)
+though exponential in the worst case, and on inputs with no linkage it
+costs at most two exhaustive searches.
+Every 6-connected graph admits the linkage (it is non-planar, hence
+2-linked: Seymour 1980, Thomassen 1980), which is the regime the kite
+pipeline calls it in.  There the walk almost always suffices: over
 15,600 calls on sparse 8-connected circulants (n = 18 to 40) and random
 7-connected 40-vertex graphs the search never ran, and on a 2-core Xeon
 the median call took 0.015 ms and the 99th percentile 0.046 ms (the
 slowest, 3.6 ms, repeats in under 0.1 ms).  The search counts its
 expansions against a budget and raises LinkageBudgetExceeded when it
-runs out.  Where no linkage exists it runs once per cap, so it costs
-several times one exhaustive depth-first search.
+runs out.
 """
 
 from __future__ import annotations
@@ -68,15 +69,16 @@ def two_linkage(
 ) -> LinkagePair | None:
     """Vertex-disjoint paths s1->t1 and s2->t2, or None if none exist.
 
-    The first path is as short as the first path of any linkage.  Among
-    those of one length it is the first found by a search that tries
-    neighbours by distance to t1 in g minus {s2, t2}, lowest vertex
-    first.  The second path is a shortest path in what remains, and the
-    one breadth-first search that finds it around the greedy walk is
-    also what proves the walk.  Both are deterministic.  When that
-    search finds no second path, the deepening search takes over; it
-    spends at most budget expansions, else LinkageBudgetExceeded (a
-    StageFailure, so find_kite falls back to the exhaustive search).
+    When some linkage has a shortest s1-t1 path in g minus {s2, t2}, the
+    first path is one of those; otherwise it is the first of any length.
+    Either way it is the first found by a search that tries neighbours
+    by distance to t1 in g minus {s2, t2}, lowest vertex first.  The
+    second path is a shortest path in what remains, and the one
+    breadth-first search that finds it around the greedy walk is also
+    what proves the walk.  Both are deterministic.  When that search
+    finds no second path, the two-pass search takes over; it spends at
+    most budget expansions, else LinkageBudgetExceeded (a StageFailure,
+    so find_kite falls back to the exhaustive search).
     """
     _validate_terminals(g, s1, t1, s2, t2)
     if budget < 1:
@@ -91,23 +93,24 @@ def two_linkage(
         first.append((m & -m).bit_length() - 1)
     second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     if second is None:
-        first = _deepening_search(g, s1, t1, s2, t2, len(layers) - 1, budget)
+        first = _search(g, s1, t1, s2, t2, len(layers) - 1, budget)
         if first is None:
             return None
         second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     return LinkagePair(Path(first), Path(second))
 
 
-def _deepening_search(
-    g: Graph, s1: int, t1: int, s2: int, t2: int, cap: int, budget: int
+def _search(
+    g: Graph, s1: int, t1: int, s2: int, t2: int, shortest: int, budget: int
 ) -> list[int] | None:
-    """The first s1-t1 path of at most cap edges that leaves some s2-t2
-    path, raising cap until one is found; None when there is none.
+    """The first s1-t1 path of at most shortest edges that leaves some
+    s2-t2 path, else the first such path of any length; None when there
+    is none.
 
-    A step to w is cut when the depth after it plus w's distance to t1
-    is over cap.  The next cap is the least such sum, so no cap that
-    would repeat the last search is run, and the search ends once no
-    step was cut.
+    Two passes of one depth-first search share the budget: one capped
+    at shortest, then one capped only by the n - 1 edges of a simple
+    path.  A step to w is cut when the depth after it plus w's distance
+    to t1 is over the cap.
     """
     far = g.n
     dist = [far] * g.n
@@ -123,7 +126,7 @@ def _deepening_search(
     spent = 0
 
     def grow(v: int, used: int, depth: int) -> list[int] | None:
-        nonlocal spent, cut
+        nonlocal spent
         spent += 1
         if spent > budget:
             raise LinkageBudgetExceeded(f"two_linkage exceeded {budget} expansions")
@@ -135,7 +138,6 @@ def _deepening_search(
             if used & bit:
                 continue
             if depth + 1 + dist[w] > cap:
-                cut = min(cut, depth + 1 + dist[w])
                 break
             nxt = used | bit
             if not connected_avoiding(g, s2, t2, nxt):
@@ -148,11 +150,9 @@ def _deepening_search(
         dead.add(key)
         return None
 
-    while cap < far:
+    for cap in (shortest, far - 1):
         dead: set[tuple[int, int]] = set()
-        cut = far
         tail = grow(s1, 1 << s1, 0)
         if tail is not None:
             return [s1] + tail
-        cap = cut
     return None

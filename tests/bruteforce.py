@@ -166,6 +166,11 @@ def _separates_fan(g: Graph, x: int, targets: frozenset[int], cut: frozenset[int
     return True
 
 
+def circulant(n: int, steps: tuple[int, ...]) -> Graph:
+    """C_n(steps): vertex i joined to i + s and i - s mod n for each step s."""
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -91,6 +91,14 @@ def test_malformed_json_graph_exits_2(tmp_path, capsys, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_vertex_count_over_the_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n")
+    code, out, err = _run(capsys, "conn", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "100000000" in err
+
+
 def test_non_utf8_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe")

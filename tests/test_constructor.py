@@ -52,9 +52,9 @@ from kitelink.generators import gen_complete_minus_matching, gen_random_kconnect
 from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding
 from kitelink.oracle import find_kite_exhaustive
 from kitelink.paths import Path
-from kitelink.structures import Flower, RootQuadruple, verify_flower, verify_kite
+from kitelink.structures import Flower, RootQuadruple, Verdict, verify_flower, verify_kite
 
-from bruteforce import rooted_kite_exists
+from bruteforce import circulant, rooted_kite_exists
 
 
 def _graph_from_parts(n, paths, extras=()):
@@ -576,9 +576,35 @@ def test_find_kite_options_reject_nonpositive_budget():
             FindKiteOptions(budget=budget)
 
 
-def _circulant(n, offsets):
-    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in offsets}
-    return Graph(n, sorted(edges))
+def test_find_kite_verifies_a_pipeline_kite_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_kite(*args)
+
+    monkeypatch.setattr(constructor, "verify_kite", counting)
+    g = gen_random_kconnected(14, 7, 3)
+    res = find_kite(g, RootQuadruple(0, 1, 2, 3), FindKiteOptions(try_direct=False))
+    assert res.stage != "fallback"
+    assert len(calls) == 1
+
+
+def test_find_kite_falls_back_when_the_verifier_rejects_a_pipeline_kite(monkeypatch):
+    calls = []
+
+    def rejecting_first(*args):
+        calls.append(args)
+        return Verdict(False, "rejected for the test") if len(calls) == 1 else verify_kite(*args)
+
+    monkeypatch.setattr(constructor, "verify_kite", rejecting_first)
+    g = gen_random_kconnected(14, 7, 3)
+    roots = RootQuadruple(0, 1, 2, 3)
+    res = find_kite(g, roots, FindKiteOptions(try_direct=False))
+    assert res.stage == "fallback"
+    assert [d.stage for d in res.diagnostics] == ["assembly"]
+    assert "rejected for the test" in res.diagnostics[0].reason
+    assert verify_kite(g, roots, res.kite)
 
 
 def test_find_kite_on_former_flower_circulant_roots():
@@ -586,7 +612,7 @@ def test_find_kite_on_former_flower_circulant_roots():
     # stage on the lowest-neighbour-first linkage path.  On the shortest
     # one they take claim1; flowers are now reached through assemble on
     # pinned and walked linkage paths (below).
-    g = _circulant(26, (1, 2, 3, 4))
+    g = circulant(26, (1, 2, 3, 4))
     res = find_kite(g, RootQuadruple(23, 0, 17, 9))
     assert res.as_json() == {
         "roots": [23, 0, 17, 9],
@@ -599,7 +625,7 @@ def test_find_kite_on_former_flower_circulant_roots():
 def test_find_kite_reaches_claim3_on_circulant():
     # Of the sampled root choices on sparse circulants, few reach claim3
     # on the shortest linkage path; these do.
-    g = _circulant(20, (1, 3, 5, 7))
+    g = circulant(20, (1, 3, 5, 7))
     res = find_kite(g, RootQuadruple(19, 16, 8, 6), FindKiteOptions(try_direct=False))
     assert res.as_json() == {
         "roots": [19, 16, 8, 6],
@@ -620,16 +646,16 @@ def _assembly_corpus():
     """
     for n in (20, 26, 30):
         for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
-            g = _circulant(n, offsets)
+            g = circulant(n, offsets)
             rng = random.Random(2000 + n)
             for _ in range(30):
                 yield g, RootQuadruple(*rng.sample(range(n), 4))
     g = gen_complete_minus_matching(9, 4)
     for quad in itertools.islice(itertools.permutations(range(9), 4), 0, None, 3):
         yield g, RootQuadruple(*quad)
-    yield _circulant(30, (1, 2, 4, 7)), RootQuadruple(9, 24, 19, 18)
-    yield _circulant(26, (1, 2, 3, 4)), RootQuadruple(23, 0, 17, 9)
-    yield _circulant(20, (1, 3, 5, 7)), RootQuadruple(19, 16, 8, 6)
+    yield circulant(30, (1, 2, 4, 7)), RootQuadruple(9, 24, 19, 18)
+    yield circulant(26, (1, 2, 3, 4)), RootQuadruple(23, 0, 17, 9)
+    yield circulant(20, (1, 3, 5, 7)), RootQuadruple(19, 16, 8, 6)
 
 
 def test_find_kite_assemblies_match_golden_digest(monkeypatch):
@@ -693,7 +719,7 @@ def _fans(g, roots):
 def test_assemble_reaches_late_stages_on_pinned_linkage(
     n, offsets, roots, l, stage, cycle, pendant
 ):
-    g = _circulant(n, offsets)
+    g = circulant(n, offsets)
     roots = RootQuadruple(*roots)
     path, kite = assemble(g, *_fans(g, roots), Path(l))
     assert path == stage
@@ -705,7 +731,7 @@ def test_resolve_flower_on_hard_circulant_flower():
     # A verified flower whose kite the oracle finds at once, while a
     # kite search seeded by the flower's edges spends over a million
     # expansions on it.
-    g = _circulant(26, (1, 2, 3, 4))
+    g = circulant(26, (1, 2, 3, 4))
     roots = RootQuadruple(8, 15, 10, 23)
     assert verify_kite(g, roots, find_kite_exhaustive(g, roots))
     tf, af = _fans(g, roots)
@@ -736,7 +762,7 @@ CIRCULANT_FLOWERS = [
 
 @pytest.mark.parametrize("n, offsets, roots, l", CIRCULANT_FLOWERS)
 def test_resolve_flower_runs_at_most_four_searches(monkeypatch, n, offsets, roots, l):
-    g = _circulant(n, offsets)
+    g = circulant(n, offsets)
     roots = RootQuadruple(*roots)
     tf, af = _fans(g, roots)
     fl = build_flower(g, tf, af, compute_landmarks(Path(l), tf, af))
@@ -801,7 +827,7 @@ def test_assemble_on_seeded_linkage_walks():
     digest = hashlib.sha256()
     for n in (20, 26, 30):
         for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
-            g = _circulant(n, offsets)
+            g = circulant(n, offsets)
             rng = random.Random(100 * n + offsets[-1])
             for _ in range(90):
                 roots = RootQuadruple(*rng.sample(range(n), 4))

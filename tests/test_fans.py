@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_connectivity, brute_max_fan, separates
+from bruteforce import brute_connectivity, brute_max_fan, circulant, separates
 from kitelink.constructor import apex_fan
 from kitelink.errors import (
     GraphTooSmall,
@@ -259,14 +259,10 @@ def test_connectivity_matches_cut_enumeration(seed):
         assert has_connectivity_at_least(g, k) == (want >= k)
 
 
-def _circulant(n: int, steps: tuple[int, ...]) -> Graph:
-    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
-
-
 @pytest.mark.parametrize("steps", [(1, 2, 3, 4), (1, 2, 4, 7)])
 @pytest.mark.parametrize("n", [20, 40])
 def test_connectivity_of_sparse_circulants(n, steps):
-    g = _circulant(n, steps)
+    g = circulant(n, steps)
     cert = vertex_connectivity(g)
     assert cert.k == 8
     assert len(cert.cut) == 8 and separates(g, cert.cut)
@@ -307,9 +303,9 @@ def _sampled_roots(n: int, seed: int, count: int) -> list[RootQuadruple]:
 
 def _golden_fan_host(name: str) -> tuple[Graph, list[RootQuadruple]]:
     if name == "C30(1,2,4,7)":
-        return _circulant(30, (1, 2, 4, 7)), [RootQuadruple(28, 13, 12, 5)]
+        return circulant(30, (1, 2, 4, 7)), [RootQuadruple(28, 13, 12, 5)]
     if name == "C26(1,2,3,4)":
-        return _circulant(26, (1, 2, 3, 4)), [RootQuadruple(23, 0, 17, 9)]
+        return circulant(26, (1, 2, 3, 4)), [RootQuadruple(23, 0, 17, 9)]
     seed = int(name.removeprefix("random40-s"))
     return gen_random_kconnected(40, 7, seed), _sampled_roots(40, seed, 20)
 
@@ -387,7 +383,7 @@ def _equivalence_hosts(family: str) -> list[Graph]:
     if family == "random12-30":
         return [gen_random_kconnected(n, 7, 200 + n) for n in (12, 16, 20, 25, 30)]
     if family == "circulant":
-        return [_circulant(n, st) for n in (16, 34) for st in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7))]
+        return [circulant(n, st) for n in (16, 34) for st in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7))]
     rng = random.Random(17)  # sparse, so not 7-connected
     return [_random_graph(rng, rng.randint(14, 24), rng.choice((0.2, 0.3))) for _ in range(8)]
 

@@ -15,6 +15,7 @@ from kitelink.errors import (
     VertexOutOfRange,
 )
 from kitelink.graphs import (
+    MAX_VERTICES,
     Graph,
     connected_avoiding,
     format_graph,
@@ -40,6 +41,16 @@ def test_constructor_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(VertexOutOfRange):
         Graph(-1, [])
+
+
+def test_vertex_count_over_the_cap_is_rejected_before_allocation():
+    assert Graph(MAX_VERTICES, []).n == MAX_VERTICES
+    with pytest.raises(VertexOutOfRange):
+        Graph(MAX_VERTICES + 1, [])
+    with pytest.raises(VertexOutOfRange):
+        parse_graph("100000000 0\n")
+    with pytest.raises(VertexOutOfRange):
+        parse_graph_json('{"n": 100000000, "edges": []}')
 
 
 def test_has_edge_and_masks():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding, vertex
 from kitelink.linkage import LinkagePair, two_linkage
 from kitelink.structures import RootQuadruple, verify_kite
 
-from bruteforce import all_simple_paths, two_linkage_oracle
+from bruteforce import all_simple_paths, circulant, two_linkage_oracle
 
 
 def _check_pair(g: Graph, pair: LinkagePair, s1, t1, s2, t2) -> None:
@@ -106,8 +107,9 @@ def test_solver_rejects_nonpositive_budget():
 
 
 def _search_only(g: Graph, s1, t1, s2, t2):
-    """two_linkage's search with no greedy walk in front, no memo, and
-    every cap from the distance d(s1, t1) in g - {s2, t2} up to n - 1."""
+    """two_linkage's search with no greedy walk in front and no memo:
+    the first path of at most d(s1, t1) edges in g - {s2, t2}, else the
+    first path of any length."""
     dist = {}
     for v in g.vertices():
         path = shortest_avoiding(g, v, t1, vertex_mask((s2, t2)))
@@ -129,7 +131,7 @@ def _search_only(g: Graph, s1, t1, s2, t2):
                 return found
         return None
 
-    for cap in range(dist[s1], g.n):
+    for cap in (dist[s1], math.inf):
         first = grow([s1], cap)
         if first is not None:
             return first, shortest_avoiding(g, s2, t2, vertex_mask(first))
@@ -138,7 +140,7 @@ def _search_only(g: Graph, s1, t1, s2, t2):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-@example(seed=109243)  # the walk fails, and a cap past the least cut sum finds a longer path
+@example(seed=109243)  # the walk fails, and no linkage has a shortest first path
 def test_solver_is_its_search_alone_with_a_shortest_first_path(seed):
     rng = random.Random(seed)
     n = rng.randint(4, 8)
@@ -155,7 +157,37 @@ def test_solver_is_its_search_alone_with_a_shortest_first_path(seed):
         for p in all_simple_paths(g, s1, t1, frozenset((s2, t2)))
         if next(all_simple_paths(g, s2, t2, frozenset(p)), None) is not None
     ]
-    assert len(got.l) == min(len(p) for p in linked)
+    shortest = min(len(p) for p in linked)
+    if shortest == len(shortest_avoiding(g, s1, t1, vertex_mask((s2, t2)))):
+        assert len(got.l) == shortest
+
+
+def test_solver_takes_the_first_longer_path_when_no_shortest_one_links():
+    # Hypothesis draw 109243.  d(5, 4) is 2 in g - {1, 6}, but the one
+    # 2-edge path, (5, 3, 4), cuts 1 off from 6.  The shortest linked
+    # first path is (5, 7, 2, 4); the uncapped pass finds a 4-edge one.
+    g = Graph(8, [
+        (0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+        (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6), (5, 7),
+    ])
+    pair = two_linkage(g, 5, 4, 1, 6)
+    assert (pair.l.vertices, pair.lprime.vertices) == ((5, 0, 7, 2, 4), (1, 3, 6))
+
+
+def _grid(k: int) -> Graph:
+    return Graph(
+        k * k,
+        [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+        + [(v, v + k) for v in range(k * k - k)],
+    )
+
+
+def test_solver_proves_no_linkage_in_at_most_two_passes():
+    # Corner terminals of a planar grid cross on its outer face, so no
+    # linkage exists.  One search per length cap spent 8,716 expansions
+    # on the 5x5 grid; the two passes spend 1,940.
+    assert two_linkage(_grid(5), 0, 24, 4, 20, budget=2_000) is None
+    assert two_linkage_oracle(_grid(4), 0, 15, 3, 12) is None
 
 
 def _ladder_host(levels: int = 3) -> Graph:
@@ -204,10 +236,6 @@ def test_find_kite_falls_back_when_the_linkage_budget_runs_out():
     assert find_kite(g, roots, FindKiteOptions(try_direct=False)).diagnostics == ()
 
 
-def _circulant(n, offsets):
-    return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in offsets}))
-
-
 @pytest.mark.parametrize(
     "n, offsets, roots",
     [
@@ -227,7 +255,7 @@ def test_solver_tail_instances_take_one_connectivity_check(monkeypatch, n, offse
         return shortest_avoiding(*args)
 
     monkeypatch.setattr(linkage, "shortest_avoiding", counting)
-    g = _circulant(n, offsets)
+    g = circulant(n, offsets)
     x1, x2, x3, x4 = roots
     pair = two_linkage(g, x1, x3, x2, x4)
     _check_pair(g, pair, x1, x3, x2, x4)
