@@ -140,33 +140,43 @@ def connected_avoiding(g: Graph, a: int, b: int, banned: int) -> bool:
     return False
 
 
+def layers_avoiding(g: Graph, root: int, banned: int, stop: int) -> list[int]:
+    """Breadth-first layers around root in g minus banned, as bitmasks,
+    ending with the first layer that meets stop (or the last layer)."""
+    layers = [1 << root]
+    seen = layers[0] | banned
+    while not layers[-1] & stop:
+        nxt = 0
+        v = layers[-1]
+        while v:
+            low = v & -v
+            nxt |= g.adjacency_mask(low.bit_length() - 1)
+            v ^= low
+        nxt &= ~seen
+        if not nxt:
+            break
+        seen |= nxt
+        layers.append(nxt)
+    return layers
+
+
 def shortest_avoiding(g: Graph, a: int, b: int, banned: int) -> list[int] | None:
-    """A shortest a-b path in g minus the banned set, or None.
+    """The lexicographically least shortest a-b path in g minus the
+    banned set, or None.
 
     ``banned`` is a bitmask as in connected_avoiding, and again a and b
-    are always allowed.  Deterministic: breadth-first, lowest neighbour
-    first, so among shortest paths the same one always comes back.
+    are always allowed.  The path walks from a down the breadth-first
+    layers around b, stepping each time to the lowest neighbour in the
+    next layer.
     """
-    if a == b:
-        return [a]
-    banned &= ~(1 << b)
-    parent = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w in parent or (banned >> w) & 1:
-                    continue
-                parent[w] = v
-                if w == b:
-                    out = [b]
-                    while parent[out[-1]] != -1:
-                        out.append(parent[out[-1]])
-                    return out[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+    layers = layers_avoiding(g, b, banned & ~(1 << a), 1 << a)
+    if not layers[-1] >> a & 1:
+        return None
+    path = [a]
+    for layer in reversed(layers[:-1]):
+        m = g.adjacency_mask(path[-1]) & layer
+        path.append((m & -m).bit_length() - 1)
+    return path
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

@@ -14,9 +14,16 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constructor import FindKiteOptions, find_kite
-from .errors import DEFAULT_BUDGET, BudgetExceeded, KitelinkError, PreconditionViolated
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    GraphTooSmall,
+    KitelinkError,
+    PreconditionViolated,
+)
 from .generators import gen_complete_minus_matching, gen_random_kconnected
 from .graphs import Graph
 from .oracle import SearchBudget, find_kite_exhaustive
@@ -42,6 +49,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.generator not in ("random", "kminusmatching"):
             raise PreconditionViolated(f"unknown generator {self.generator!r}")
+        if self.n < 4:
+            raise GraphTooSmall(f"four distinct roots need at least 4 vertices, got {self.n}")
         if self.roots not in ("sampled", "exhaustive"):
             raise PreconditionViolated(f"unknown root policy {self.roots!r}")
         if self.roots == "sampled" and self.trials < 1:
@@ -98,23 +107,19 @@ def _make_graph(config: TrialConfig, seed: int) -> Graph:
     return gen_random_kconnected(config.n, config.k, seed)
 
 
-def _tasks(config: TrialConfig) -> list[tuple[int, Graph, int, RootQuadruple]]:
+def _tasks(config: TrialConfig) -> Iterator[tuple[int, Graph, int, RootQuadruple]]:
+    """Each trial's task in trial order, its host built only when reached."""
     if config.roots == "exhaustive":
         seed = _trial_seed(config, 0)
         g = _make_graph(config, seed)
-        quads = [
-            RootQuadruple(a, b, c, d)
-            for a, b, c, d in itertools.permutations(range(g.n), 4)
-        ]
-        return [(i, g, seed, roots) for i, roots in enumerate(quads)]
-    out = []
+        for i, roots in enumerate(itertools.permutations(range(g.n), 4)):
+            yield i, g, seed, RootQuadruple(*roots)
+        return
     for i in range(config.trials):
         seed = _trial_seed(config, i)
         g = _make_graph(config, seed)
-        rng = random.Random(seed ^ _ROOT_SALT)
-        a, b, c, d = rng.sample(range(g.n), 4)
-        out.append((i, g, seed, RootQuadruple(a, b, c, d)))
-    return out
+        roots = random.Random(seed ^ _ROOT_SALT).sample(range(g.n), 4)
+        yield i, g, seed, RootQuadruple(*roots)
 
 
 def _run_one(task: tuple[int, Graph, int, RootQuadruple], config: TrialConfig) -> TrialReport:

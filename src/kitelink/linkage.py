@@ -1,10 +1,10 @@
 """Two vertex-disjoint paths between prescribed terminal pairs.
 
 The first path is a shortest s1-t1 path that some second path avoids,
-whenever such a path exists.  A greedy walk down the breadth-first
-layers around t1 usually is that path, and the one breadth-first
-search that finds a second path around the whole walk both proves it
-and returns that second path.  When there is no second path, a
+whenever such a path exists.  Usually it is shortest_avoiding's path
+in g minus {s2, t2}, the lexicographically least shortest path, and
+the second shortest_avoiding call, which finds an s2-t2 path around
+it, both proves it and returns that second path.  When there is none, a
 depth-first search with a connectivity prune and memoized dead states
 takes over, in at most two passes: one capped at the distance from s1
 to t1, then one uncapped.  So it is complete (never a false NotFound)
@@ -12,7 +12,7 @@ though exponential in the worst case, and on inputs with no linkage it
 costs at most two exhaustive searches.
 Every 6-connected graph admits the linkage (it is non-planar, hence
 2-linked: Seymour 1980, Thomassen 1980), which is the regime the kite
-pipeline calls it in.  There the walk almost always suffices: over
+pipeline calls it in.  There that path almost always suffices: over
 15,600 calls on sparse 8-connected circulants (n = 18 to 40) and random
 7-connected 40-vertex graphs the search never ran, and on a 2-core Xeon
 the median call took 0.015 ms and the 99th percentile 0.046 ms (the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, DuplicateTerminals, LinkageBudgetExceeded, PreconditionViolated
-from .graphs import Graph, connected_avoiding, shortest_avoiding, vertex_mask
+from .graphs import Graph, connected_avoiding, layers_avoiding, shortest_avoiding, vertex_mask
 from .paths import Path
 
 
@@ -44,26 +44,6 @@ def _validate_terminals(g: Graph, s1: int, t1: int, s2: int, t2: int) -> None:
         raise DuplicateTerminals(f"terminals must be distinct, got {terms}")
 
 
-def _layers(g: Graph, root: int, banned: int, stop: int) -> list[int]:
-    """Breadth-first layers around root in g minus banned, as bitmasks,
-    ending with the first layer that meets stop (or the last layer)."""
-    layers = [1 << root]
-    seen = layers[0] | banned
-    while not layers[-1] & stop:
-        nxt = 0
-        v = layers[-1]
-        while v:
-            low = v & -v
-            nxt |= g.adjacency_mask(low.bit_length() - 1)
-            v ^= low
-        nxt &= ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        layers.append(nxt)
-    return layers
-
-
 def two_linkage(
     g: Graph, s1: int, t1: int, s2: int, t2: int, budget: int = DEFAULT_BUDGET
 ) -> LinkagePair | None:
@@ -72,28 +52,24 @@ def two_linkage(
     When some linkage has a shortest s1-t1 path in g minus {s2, t2}, the
     first path is one of those; otherwise it is the first of any length.
     Either way it is the first found by a search that tries neighbours
-    by distance to t1 in g minus {s2, t2}, lowest vertex first.  The
-    second path is a shortest path in what remains, and the one
-    breadth-first search that finds it around the greedy walk is also
-    what proves the walk.  Both are deterministic.  When that search
-    finds no second path, the two-pass search takes over; it spends at
-    most budget expansions, else LinkageBudgetExceeded (a StageFailure,
-    so find_kite falls back to the exhaustive search).
+    by distance to t1 in g minus {s2, t2}, lowest vertex first, so it
+    is usually shortest_avoiding's path there, the lexicographically
+    least shortest one.  The second path is shortest_avoiding's s2-t2
+    path in what remains, and that call is also what proves the first.
+    Both are deterministic.  When it finds no second path, the two-pass
+    search takes over; it spends at most budget expansions, else
+    LinkageBudgetExceeded (a StageFailure, so find_kite falls back to
+    the exhaustive search).
     """
     _validate_terminals(g, s1, t1, s2, t2)
     if budget < 1:
         raise PreconditionViolated("budget needs at least one expansion")
-    banned = (1 << s2) | (1 << t2)
-    layers = _layers(g, t1, banned, 1 << s1)
-    if not layers[-1] >> s1 & 1:
+    first = shortest_avoiding(g, s1, t1, (1 << s2) | (1 << t2))
+    if first is None:
         return None
-    first = [s1]
-    for layer in reversed(layers[:-1]):
-        m = g.adjacency_mask(first[-1]) & layer
-        first.append((m & -m).bit_length() - 1)
     second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     if second is None:
-        first = _search(g, s1, t1, s2, t2, len(layers) - 1, budget)
+        first = _search(g, s1, t1, s2, t2, len(first) - 1, budget)
         if first is None:
             return None
         second = shortest_avoiding(g, s2, t2, vertex_mask(first))
@@ -114,7 +90,7 @@ def _search(
     """
     far = g.n
     dist = [far] * g.n
-    for d, layer in enumerate(_layers(g, t1, (1 << s2) | (1 << t2), 0)):
+    for d, layer in enumerate(layers_avoiding(g, t1, (1 << s2) | (1 << t2), 0)):
         while layer:
             low = layer & -layer
             dist[low.bit_length() - 1] = d

@@ -324,6 +324,15 @@ def test_trials_rejects_zero_budget_before_running(capsys):
     assert out == "" and "budget" in err
 
 
+@pytest.mark.parametrize("roots", ["sampled", "exhaustive"])
+def test_trials_rejects_fewer_than_four_vertices(capsys, roots):
+    code, out, err = _run(
+        capsys, "trials", "--generator", "kminusmatching", "--n", "3", "--roots", roots,
+    )
+    assert code == 2
+    assert out == "" and "4 vertices" in err
+
+
 def test_trials_stream_matches_golden_digests(capsys):
     # The sha256 of each campaign's stdout, pinned so that a change which
     # alters any report byte fails here, not only between repeat runs.

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from kitelink.errors import PreconditionViolated
+from kitelink import harness
+from kitelink.errors import GraphTooSmall, PreconditionViolated
 from kitelink.harness import TrialConfig, report_lines, run_trials, stage_counts
 
 
@@ -21,6 +22,15 @@ def test_config_rejects_unknown_root_policy():
 def test_config_rejects_empty_campaign():
     with pytest.raises(PreconditionViolated):
         TrialConfig(trials=0)
+
+
+def test_config_rejects_fewer_than_four_vertices():
+    for generator in ("random", "kminusmatching"):
+        for roots in ("sampled", "exhaustive"):
+            for n in (0, 3):
+                with pytest.raises(GraphTooSmall):
+                    TrialConfig(generator=generator, n=n, roots=roots)
+    assert len(run_trials(TrialConfig(generator="kminusmatching", n=4, trials=1))) == 1
 
 
 def test_config_rejects_bad_oracle_fraction():
@@ -114,3 +124,19 @@ def test_report_lines_shape_and_timing_key():
         obj = json.loads(line)
         assert set(obj) == keys | {"wall_ms"}
         assert obj["wall_ms"] >= 0.0
+
+
+def test_hosts_are_built_as_trials_reach_them(monkeypatch):
+    built = []
+
+    def counting(config, seed):
+        built.append(seed)
+        return make_graph(config, seed)
+
+    make_graph = harness._make_graph
+    monkeypatch.setattr(harness, "_make_graph", counting)
+    tasks = harness._tasks(TrialConfig(generator="random", n=10, trials=5, seed=4))
+    assert built == []
+    first = next(tasks)
+    assert built == [first[2]]
+    assert [t[0] for t in tasks] == [1, 2, 3, 4] and len(built) == 5

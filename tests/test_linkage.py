@@ -247,7 +247,9 @@ def test_find_kite_falls_back_when_the_linkage_budget_runs_out():
     ],
 )
 def test_solver_tail_instances_take_one_connectivity_check(monkeypatch, n, offsets, roots):
-    # The one search for the second path is also what proves the walk.
+    # Two shortest_avoiding calls: the first path, then the second path
+    # around it, which is also what proves the first.  Any fallback
+    # search would add a third.
     calls = []
 
     def counting(*args):
@@ -259,5 +261,5 @@ def test_solver_tail_instances_take_one_connectivity_check(monkeypatch, n, offse
     x1, x2, x3, x4 = roots
     pair = two_linkage(g, x1, x3, x2, x4)
     _check_pair(g, pair, x1, x3, x2, x4)
-    assert len(calls) == 1
+    assert [args[1:3] for args in calls] == [(x1, x3), (x2, x4)]
     assert len(pair.l) == len(shortest_avoiding(g, x1, x3, vertex_mask((x2, x4))))
