@@ -87,7 +87,7 @@ def _cmd_fan(args) -> int:
 
 def _cmd_link2(args) -> int:
     g = _read_graph(args.graph)
-    pair = two_linkage(g, args.s1, args.t1, args.s2, args.t2)
+    pair = two_linkage(g, args.s1, args.t1, args.s2, args.t2, args.budget)
     if pair is None:
         _emit(args, {"found": False})
         return 1
@@ -240,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     for name in ("s1", "t1", "s2", "t2"):
         p.add_argument(name, type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_link2)
 
     kite = sub.add_parser("kite", help="rooted kite operations")

@@ -181,25 +181,36 @@ def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
 def vertex_connectivity(g: Graph) -> CutCertificate:
     """Exact vertex connectivity with a minimum separating set.
 
-    Esfahanian and Hakimi (Networks 14, 1984): for a minimum-degree
-    vertex v, every minimum separator either misses v, and then splits
-    v from one of its non-neighbours, or contains v, and then splits two
-    non-adjacent neighbours of v.  So n - 1 - deg(v) flows from v plus
-    one flow per non-adjacent pair of its neighbours suffice, all on the
-    graph's SplitNetwork, where each flow routes the pair's paths
-    through common neighbours before it augments.  On a 2-core Xeon the
-    circulant C80(1,2,3,4) takes about 0.04 s; dense graphs pay for the
-    deg(v)^2 neighbour pairs, and gen_random_kconnected(80, 7, 1), of
-    connectivity 32, takes about 0.6 s.  Complete graphs get k = n - 1
-    and no cut.
+    For a minimum-degree vertex v (the lowest-numbered one), kappa is at
+    most deg(v), so one has_connectivity_at_least(g, deg(v)) decision
+    settles kappa = deg(v), and the cut is then N(v): exactly the
+    certificate the scan below would return, with no scan.  Otherwise
+    the scan runs.  Esfahanian and Hakimi (Networks 14, 1984): every
+    minimum separator either misses v, and then splits v from one of
+    its non-neighbours, or contains v, and then splits two non-adjacent
+    neighbours of v.  So n - 1 - deg(v) flows from v plus one flow per
+    non-adjacent pair of its neighbours suffice, all on the graph's
+    SplitNetwork, where each flow routes the pair's paths through
+    common neighbours before it augments.  On a 2-core Xeon the
+    circulant C80(1,2,3,4) takes about 0.02 s (0.05 s by the scan),
+    and gen_random_kconnected(80, 7, 1), of connectivity 32 = deg(v),
+    about 0.65 s, most of it in Even's check on a dense graph.  Where
+    kappa < deg(v), Even's check usually fails within a few flows and
+    adds a few percent to the scan.  Complete graphs get k = n - 1 and no
+    cut.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
     if g.is_complete():
         return CutCertificate(g.n - 1, None)
-    net = g.split_network()
     v = min(g.vertices(), key=g.degree)
     nbrs = g.neighbors(v)
+    if has_connectivity_at_least(g, len(nbrs)):
+        # The scan's first pair is v and a non-neighbour; its flow of
+        # deg(v) < n - 1 saturates every arc out of v, so the scan's cut
+        # is N(v), a set filled in ascending order as min_cut fills it.
+        return CutCertificate(len(nbrs), frozenset(set(nbrs)))
+    net = g.split_network()
     pairs = [(v, w) for w in g.vertices() if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if not g.has_edge(a, b)]
     # A non-adjacent pair always admits a cut of size <= n - 2, so the

@@ -156,6 +156,21 @@ def test_link2_reports_crossing_pairs(tmp_path, capsys):
     assert json.loads(out) == {"found": False}
 
 
+def test_link2_budget_bounds_the_search(tmp_path, capsys):
+    # Corner terminals of the 7x7 grid cross on its outer face, so no
+    # linkage exists and only the budget ends the search early.
+    grid = Graph(
+        49,
+        [(v, v + 1) for v in range(49) if v % 7 < 6] + [(v, v + 7) for v in range(42)],
+    )
+    path = _write_graph(tmp_path, grid)
+    code, out, err = _run(capsys, "link2", path, "0", "48", "6", "42", "--budget", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("budget:")
+    code, _, err = _run(capsys, "link2", path, "0", "48", "6", "42", "--budget", "0")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_kite_find_verify_roundtrip(tmp_path, capsys):
     gpath = _write_graph(tmp_path, gen_complete_minus_matching(8, 0))
     code, out, _ = _run(capsys, "kite", "find", gpath, "0", "1", "2", "3")

@@ -27,7 +27,7 @@ from kitelink.fans import (
     terminal_fan,
     vertex_connectivity,
 )
-from kitelink.flow import exit_
+from kitelink.flow import SplitNetwork, exit_
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.paths import Path
@@ -384,8 +384,28 @@ def _equivalence_hosts(family: str) -> list[Graph]:
         return [gen_random_kconnected(n, 7, 200 + n) for n in (12, 16, 20, 25, 30)]
     if family == "circulant":
         return [circulant(n, st) for n in (16, 34) for st in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7))]
+    if family == "planted":
+        return [_planted_separator_graph(random.Random(40 + i)) for i in range(12)]
     rng = random.Random(17)  # sparse, so not 7-connected
     return [_random_graph(rng, rng.randint(14, 24), rng.choice((0.2, 0.3))) for _ in range(8)]
+
+
+def _planted_separator_graph(rng: random.Random) -> Graph:
+    # Sides A and B with no edge between them, joined through a small
+    # separator S, dense enough that kappa is usually |S| < min degree.
+    n = rng.randint(14, 22)
+    order = rng.sample(range(n), n)
+    cut = rng.randint(1, 4)
+    side = {v: "S" for v in order[:cut]}
+    side.update((v, "A" if i % 2 else "B") for i, v in enumerate(order[cut:]))
+    p = rng.choice((0.5, 0.65, 0.8))
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if {side[i], side[j]} != {"A", "B"} and rng.random() < p
+    ]
+    return Graph(n, edges)
 
 
 @pytest.mark.parametrize("family", ["random40", "random12-30", "circulant", "sparse"])
@@ -431,3 +451,43 @@ def test_extend_fan_matches_augmentation_alone_on_random_bases():
             fan = extend_fan(g, x, s, base, k)
             assert repr(fan) == repr(_reference_extend_fan(g, x, s, base, k))
     assert rerouting_bases >= 40
+
+
+def test_connectivity_matches_the_scan_on_planted_separators():
+    # Where kappa < min degree Even's check fails and the
+    # Esfahanian-Hakimi scan runs; elsewhere the check settles kappa.
+    hosts = _equivalence_hosts("planted")
+    below_min_degree = 0
+    for g in hosts:
+        cert = vertex_connectivity(g)
+        assert repr(cert) == repr(_reference_connectivity(g))
+        below_min_degree += cert.k < g.min_degree()
+    assert 3 * below_min_degree >= len(hosts)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [circulant(n, st) for n in (20, 40) for st in ((1, 2, 3, 4), (1, 2, 4, 7))]
+    + [gen_random_kconnected(40, 7, s) for s in (0, 2)]
+    + [gen_complete_minus_matching(20, 5)],
+    ids=[
+        "C20(1,2,3,4)", "C20(1,2,4,7)", "C40(1,2,3,4)", "C40(1,2,4,7)",
+        "random40-0", "random40-2", "K20-5",
+    ],
+)
+def test_connectivity_at_min_degree_needs_no_cut_search(g, monkeypatch):
+    # kappa = min degree: one Even decision gives the neighbourhood of
+    # the lowest minimum-degree vertex, with no scan flow and no min_cut.
+    # On random40-2 a frozenset built straight from the neighbour tuple
+    # prints in another order than the scan's, so repr is compared.
+    want = repr(_reference_connectivity(g))
+
+    def no_cut(*_args):
+        raise AssertionError("min_cut ran although kappa = min degree")
+
+    monkeypatch.setattr(SplitNetwork, "min_cut", no_cut)
+    v = min(g.vertices(), key=g.degree)
+    cert = vertex_connectivity(g)
+    assert cert == CutCertificate(g.degree(v), frozenset(g.neighbors(v)))
+    assert repr(cert) == want
+    assert separates(g, cert.cut)
