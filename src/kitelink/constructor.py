@@ -162,13 +162,12 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     qverts = _vertices(tf.q)
     others = [arm for arm in fan.arms if arm.last != x2]
     qside = [arm for arm in others if arm.last in qverts]
-    rside = [arm for arm in others if arm.last not in qverts]
     side = "kept"
     tf_o = tf
     if len(qside) < 3:
         side = "swapped"
         tf_o = tf.swap_sides()
-        qside, rside = rside, qside
+        qside = [arm for arm in others if arm.last not in qverts]
     if len(qside) < 3:
         raise InvariantViolation("neither side of the terminal fan got 3 landings")
 
@@ -240,10 +239,13 @@ def _contact_stem(tf_o: TerminalFan, af: ApexFan, a: int) -> tuple[int | None, P
     return idx, concat_paths([stem, subpath(arm, arm.last, a)])
 
 
-def _interior_landings(tf_o: TerminalFan, af: ApexFan) -> list[tuple[Path, int, int]]:
-    """Landings away from x1, tagged with the index of their Q-path."""
+def _landing_frame(tf: TerminalFan, af: ApexFan):
+    """The oriented terminal fan, the landings away from x1 tagged with
+    the index of their Q-path, and the sorted indices of those paths."""
+    tf_o = oriented_terminal_fan(tf, af)
     tagged = [(arm, w, _arm_index(tf_o.q, tf_o.x1, w)) for arm, w in af.landings]
-    return [t for t in tagged if t[2] is not None]
+    interior = [t for t in tagged if t[2] is not None]
+    return tf_o, interior, sorted({idx for _, _, idx in interior})
 
 
 def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
@@ -378,10 +380,8 @@ def claim2_assembly(
     None means the hypothesis fails (all interior landings share one
     Q-path) and the next case should run.
     """
-    tf_o = oriented_terminal_fan(tf, af)
+    tf_o, interior, spanned = _landing_frame(tf, af)
     x2, x4 = tf_o.hub, tf_o.x4
-    interior = _interior_landings(tf_o, af)
-    spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) < 2:
         return None
     try:
@@ -409,10 +409,8 @@ def claim3_assembly(
     the pendant.  None means the ordering hypothesis holds and the
     flower is next.
     """
-    tf_o = oriented_terminal_fan(tf, af)
+    tf_o, _, spanned = _landing_frame(tf, af)
     x2, x4 = tf_o.hub, tf_o.x4
-    interior = _interior_landings(tf_o, af)
-    spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) != 1:
         raise PreconditionViolated("claim3 expects all interior landings on one Q-path")
     q1_idx = spanned[0]
@@ -444,10 +442,8 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     Q-path, ordered away from x2 beyond u (or beyond u's own landing
     when u sits on the W-arm landing nearest x2).
     """
-    tf_o = oriented_terminal_fan(tf, af)
+    tf_o, _, spanned = _landing_frame(tf, af)
     x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
-    interior = _interior_landings(tf_o, af)
-    spanned = sorted({idx for _, _, idx in interior})
     if len(spanned) != 1:
         raise FlowerInvalid("landings spread over several Q-paths")
     q1 = tf_o.q[spanned[0]]

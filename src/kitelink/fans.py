@@ -183,15 +183,16 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
 
     For a minimum-degree vertex v (the lowest-numbered one), kappa is at
     most deg(v), so one has_connectivity_at_least(g, deg(v)) decision
-    settles kappa = deg(v), and the cut is then N(v): exactly the
-    certificate the scan below would return, with no scan.  Otherwise
-    the scan runs.  Esfahanian and Hakimi (Networks 14, 1984): every
-    minimum separator either misses v, and then splits v from one of
-    its non-neighbours, or contains v, and then splits two non-adjacent
-    neighbours of v.  So n - 1 - deg(v) flows from v plus one flow per
-    non-adjacent pair of its neighbours suffice, all on the graph's
-    SplitNetwork, where each flow routes the pair's paths through
-    common neighbours before it augments.  On a 2-core Xeon the
+    settles kappa = deg(v), and the cut is then N(v): the certificate
+    a scan with no upper bound would return, with no scan.  Otherwise
+    kappa < deg(v), and the scan starts from deg(v) and keeps the first
+    cut of each smaller size.  Esfahanian and Hakimi (Networks 14,
+    1984): every minimum separator either misses v, and then splits v
+    from one of its non-neighbours, or contains v, and then splits two
+    non-adjacent neighbours of v.  So n - 1 - deg(v) flows from v plus
+    one flow per non-adjacent pair of its neighbours suffice, all on the
+    graph's SplitNetwork, where each flow routes the pair's paths
+    through common neighbours before it augments.  On a 2-core Xeon the
     circulant C80(1,2,3,4) takes about 0.02 s (0.05 s by the scan),
     and gen_random_kconnected(80, 7, 1), of connectivity 32 = deg(v),
     about 0.65 s, most of it in Even's check on a dense graph.  Where
@@ -206,17 +207,14 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     v = min(g.vertices(), key=g.degree)
     nbrs = g.neighbors(v)
     if has_connectivity_at_least(g, len(nbrs)):
-        # The scan's first pair is v and a non-neighbour; its flow of
-        # deg(v) < n - 1 saturates every arc out of v, so the scan's cut
+        # Unbounded, the scan's first pair is v and a non-neighbour; its
+        # flow of deg(v) < n - 1 saturates every arc out of v, so its cut
         # is N(v), a set filled in ascending order as min_cut fills it.
         return CutCertificate(len(nbrs), frozenset(set(nbrs)))
     net = g.split_network()
     pairs = [(v, w) for w in g.vertices() if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if not g.has_edge(a, b)]
-    # A non-adjacent pair always admits a cut of size <= n - 2, so the
-    # first pair already replaces the complete-graph bound.
-    best = g.n - 1
-    best_cut: frozenset[int] | None = None
+    best, best_cut = len(nbrs), None
     for s, t in pairs:
         cap = net.residual({t: best})
         value = net.max_flow(cap, s, (t,), best)
@@ -243,14 +241,12 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
         raise GraphTooSmall("connectivity needs at least two vertices")
     if k <= 0:
         return True
-    if g.is_complete():
-        return g.n - 1 >= k
     if g.min_degree() < k:
         return False
-    # A non-complete graph of minimum degree k has n >= k + 2, so every
-    # fan below has at least k targets.  Some maximum path system holds
-    # every one-edge fan arm and every two-edge path through a common
-    # neighbour, so a pair or a vertex with k such paths needs no flow.
+    # Every fan below has at least k targets.  Some maximum path system
+    # holds every one-edge fan arm and every two-edge path through a
+    # common neighbour, so a pair or a vertex with k such paths needs no
+    # flow; in a complete graph that is every pair and every vertex.
     net = g.split_network()
     for t in range(k):
         for s in range(t):

@@ -26,6 +26,12 @@ if TYPE_CHECKING:
 MAX_VERTICES = 100_000
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise VertexOutOfRange unless 0 <= n <= MAX_VERTICES."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 class Graph:
     """An immutable simple undirected graph.
 
@@ -37,8 +43,7 @@ class Graph:
     __slots__ = ("n", "_edges", "_adj", "_masks", "_split")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not 0 <= n <= MAX_VERTICES:
-            raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         self.n = n
         keys: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]

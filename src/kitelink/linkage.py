@@ -9,7 +9,9 @@ depth-first search with a connectivity prune and memoized dead states
 takes over, in at most two passes: one capped at the distance from s1
 to t1, then one uncapped.  So it is complete (never a false NotFound)
 though exponential in the worst case, and on inputs with no linkage it
-costs at most two exhaustive searches.
+costs at most two exhaustive searches.  It keeps its path on an
+explicit stack, not in recursion, so a path of any length the vertex
+cap allows is legal input; only the budget bounds its depth and work.
 Every 6-connected graph admits the linkage (it is non-planar, hence
 2-linked: Seymour 1980, Thomassen 1980), which is the regime the kite
 pipeline calls it in.  There that path almost always suffices: over
@@ -59,7 +61,8 @@ def two_linkage(
     Both are deterministic.  When it finds no second path, the two-pass
     search takes over; it spends at most budget expansions, else
     LinkageBudgetExceeded (a StageFailure, so find_kite falls back to
-    the exhaustive search).
+    the exhaustive search); it does not recurse, so only the budget
+    bounds its depth.
     """
     _validate_terminals(g, s1, t1, s2, t2)
     if budget < 1:
@@ -101,34 +104,38 @@ def _search(
     ]
     spent = 0
 
-    def grow(v: int, used: int, depth: int) -> list[int] | None:
+    def steps(v: int, used: int, depth: int):
+        # Entering v spends an expansion.  Yields each move on from v with
+        # the used set after it; marks (v, used) dead once all are tried.
         nonlocal spent
         spent += 1
         if spent > budget:
             raise LinkageBudgetExceeded(f"two_linkage exceeded {budget} expansions")
-        key = (v, used)
-        if key in dead:
-            return None
+        if (v, used) in dead:
+            return
         for w in order[v]:
             bit = 1 << w
             if used & bit:
                 continue
             if depth + 1 + dist[w] > cap:
                 break
-            nxt = used | bit
-            if not connected_avoiding(g, s2, t2, nxt):
-                continue
-            if w == t1:
-                return [w]
-            tail = grow(w, nxt, depth + 1)
-            if tail is not None:
-                return [w] + tail
-        dead.add(key)
-        return None
+            if connected_avoiding(g, s2, t2, used | bit):
+                yield w, used | bit
+        dead.add((v, used))
 
     for cap in (shortest, far - 1):
         dead: set[tuple[int, int]] = set()
-        tail = grow(s1, 1 << s1, 0)
-        if tail is not None:
-            return [s1] + tail
+        path = [s1]
+        frames = [steps(s1, 1 << s1, 0)]
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                path.pop()
+                continue
+            w, used = step
+            if w == t1:
+                return path + [w]
+            path.append(w)
+            frames.append(steps(w, used, len(path) - 1))
     return None

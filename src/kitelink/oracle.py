@@ -4,15 +4,17 @@ Everything here is definitional search, written independently of the
 constructive pipeline so the two can check each other.  A rooted kite is
 found by enumerating its four connecting paths directly: the cycle
 through x1, x2, x3 split at the roots into three arcs, then the pendant
-from x2 to x4.  Feasible up to roughly n = 14; beyond that budgets bite.
+from x2 to x4, each walked depth-first without recursion.  Feasible up
+to roughly n = 14; beyond that budgets bite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, GraphTooSmall, PreconditionViolated
-from .graphs import Graph, connected_avoiding
+from .graphs import Graph, connected_avoiding, vertex_mask
 from .paths import Cycle, Path
 from .structures import KiteSubdivision, RootQuadruple
 
@@ -42,13 +44,6 @@ class KiteLinkedVerdict:
         return self.linked
 
 
-def _bits(vertices) -> int:
-    mask = 0
-    for u in vertices:
-        mask |= 1 << u
-    return mask
-
-
 class _PathSearch:
     """Shared DFS plumbing: budget counter, pruning."""
 
@@ -57,28 +52,37 @@ class _PathSearch:
         self.budget = budget
         self.spent = 0
 
-    def walk(self, v: int, goal: int, blocked: int, acc: list[int]):
+    def walk(self, v: int, goal: int, blocked: int):
         """Yield every simple path v -> goal through vertices outside the
-        bitmask blocked.
+        bitmask blocked, which includes v.
 
-        acc already contains v, and blocked includes every vertex of acc.
+        Depth-first, with one neighbour iterator per vertex of the path
+        on an explicit stack, so a long path costs no recursion.
+        Entering a vertex spends one expansion.
         """
-        self.spent += 1
-        if self.spent > self.budget.max_expansions:
-            raise BudgetExceeded(
-                f"kite search exceeded {self.budget.max_expansions} expansions"
-            )
-        if v == goal:
-            yield list(acc)
-            return
-        if not connected_avoiding(self.g, v, goal, blocked):
-            return
-        for w in self.g.neighbors(v):
-            if blocked >> w & 1:
-                continue
-            acc.append(w)
-            yield from self.walk(w, goal, blocked | 1 << w, acc)
-            acc.pop()
+        acc = [v]
+        frames = []
+        while True:
+            self.spent += 1
+            if self.spent > self.budget.max_expansions:
+                raise BudgetExceeded(
+                    f"kite search exceeded {self.budget.max_expansions} expansions"
+                )
+            if v == goal:
+                yield list(acc)
+            live = v != goal and connected_avoiding(self.g, v, goal, blocked)
+            frames.append(iter(self.g.neighbors(v) if live else ()))
+            while True:
+                v = next(frames[-1], -1)
+                if v < 0:
+                    frames.pop()
+                    blocked ^= 1 << acc.pop()
+                    if not frames:
+                        return
+                elif not blocked >> v & 1:
+                    break
+            acc.append(v)
+            blocked |= 1 << v
 
 
 def find_kite_exhaustive(
@@ -99,12 +103,12 @@ def find_kite_exhaustive(
     x1, x2, x3, x4 = roots.as_tuple()
     search = _PathSearch(g, budget)
     x4_bit = 1 << x4
-    for a_arc in search.walk(x2, x1, _bits((x2, x3, x4)), [x2]):
-        for b_arc in search.walk(x1, x3, _bits(a_arc) | x4_bit, [x1]):
-            used = _bits(a_arc) | _bits(b_arc)
-            for c_arc in search.walk(x3, x2, used & ~(1 << x2) | x4_bit, [x3]):
+    for a_arc in search.walk(x2, x1, vertex_mask((x2, x3, x4))):
+        for b_arc in search.walk(x1, x3, vertex_mask(a_arc) | x4_bit):
+            used = vertex_mask(a_arc) | vertex_mask(b_arc)
+            for c_arc in search.walk(x3, x2, used & ~(1 << x2) | x4_bit):
                 cycle = a_arc + b_arc[1:] + c_arc[1:-1]
-                for pendant in search.walk(x2, x4, _bits(cycle), [x2]):
+                for pendant in search.walk(x2, x4, vertex_mask(cycle)):
                     return KiteSubdivision.from_parts(Cycle(cycle), Path(pendant))
     return None
 
@@ -118,15 +122,9 @@ def is_kite_linked(g: Graph, budget: SearchBudget | None = None) -> KiteLinkedVe
     """
     if g.n < 4:
         raise GraphTooSmall("kite-linkage needs at least 4 vertices")
-    for x1 in range(g.n):
-        for x3 in range(x1 + 1, g.n):
-            for x2 in range(g.n):
-                if x2 == x1 or x2 == x3:
-                    continue
-                for x4 in range(g.n):
-                    if x4 == x1 or x4 == x2 or x4 == x3:
-                        continue
-                    roots = RootQuadruple(x1, x2, x3, x4)
-                    if find_kite_exhaustive(g, roots, budget) is None:
-                        return KiteLinkedVerdict(False, roots)
+    for x1, x3, x2, x4 in permutations(range(g.n), 4):
+        if x1 < x3:
+            roots = RootQuadruple(x1, x2, x3, x4)
+            if find_kite_exhaustive(g, roots, budget) is None:
+                return KiteLinkedVerdict(False, roots)
     return KiteLinkedVerdict(True, None)

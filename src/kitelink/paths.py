@@ -140,9 +140,6 @@ def concat_paths(segments: Sequence[Path]) -> Path | Cycle:
     closed = len(merged) > 1 and merged[0] == merged[-1]
     if closed:
         merged.pop()
-        if len(set(merged)) != len(merged):
-            raise InteriorOverlap(f"chained segments revisit a vertex: {merged}")
-        return Cycle(merged)
     if len(set(merged)) != len(merged):
         raise InteriorOverlap(f"chained segments revisit a vertex: {merged}")
-    return Path(merged)
+    return Cycle(merged) if closed else Path(merged)

@@ -10,6 +10,7 @@ represented, and the verifiers report the first violated requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .errors import MalformedLine, PreconditionViolated
@@ -221,11 +222,7 @@ def verify_flower(g: Graph, f: Flower) -> Verdict:
         interior = set(p[1:-1])
         if interior & (set(f.c1) | set(f.c2) | set(f.c3)):
             return Verdict(False, f"{name} interior touches a cycle")
-    for (na, pa, _, _), (nb, pb, _, _) in (
-        (spokes[0], spokes[1]),
-        (spokes[0], spokes[2]),
-        (spokes[1], spokes[2]),
-    ):
+    for (na, pa, _, _), (nb, pb, _, _) in combinations(spokes, 2):
         if set(pa) & set(pb):
             return Verdict(False, f"{na} and {nb} share a vertex")
     if not _cyclic_order_ok(f.c3, (f.v1, f.v2, f.v3, roots.x4)):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from kitelink import constructor
+from kitelink import constructor, generators, graphs
 from kitelink.cli import main
 from kitelink.errors import FlowerResolutionExhausted
 from kitelink.generators import gen_complete_minus_matching
@@ -97,6 +97,19 @@ def test_vertex_count_over_the_cap_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "conn", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "100000000" in err
+
+
+def test_generators_over_the_vertex_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    monkeypatch.setattr(generators, "Graph", None)  # never reached
+    for argv in (
+        ("gen", "kminusmatching", "11", "0"),
+        ("gen", "random", "11", "7", "0"),
+        ("trials", "--n", "11"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 11 outside 0..10\n"
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from kitelink.errors import PreconditionViolated
+from kitelink import generators, graphs
+from kitelink.errors import PreconditionViolated, VertexOutOfRange
 from kitelink.fans import has_connectivity_at_least
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 
@@ -84,3 +85,18 @@ def test_random_generator_scales_requirement():
 def test_random_generator_rejects_impossible_order():
     with pytest.raises(PreconditionViolated):
         gen_random_kconnected(7, 7, 0)
+
+
+def test_generators_check_the_vertex_cap_before_allocating(monkeypatch):
+    # At the real cap the pair lists alone would take gigabytes, so the
+    # cap is lowered; a generator past it may neither build nor draw.
+    def unreachable(*args):
+        raise AssertionError("allocated past the vertex cap")
+
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    monkeypatch.setattr(generators, "Graph", unreachable)
+    monkeypatch.setattr(generators.random, "Random", unreachable)
+    with pytest.raises(VertexOutOfRange):
+        gen_complete_minus_matching(11, 0)
+    with pytest.raises(VertexOutOfRange):
+        gen_random_kconnected(11, 7, 0)

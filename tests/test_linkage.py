@@ -190,6 +190,27 @@ def test_solver_proves_no_linkage_in_at_most_two_passes():
     assert two_linkage_oracle(_grid(4), 0, 15, 3, 12) is None
 
 
+def test_solver_spends_exactly_its_pinned_expansions():
+    # The budget bounds the search's work, so its count is pinned.
+    assert two_linkage(_grid(5), 0, 24, 4, 20, budget=1_940) is None
+    with pytest.raises(LinkageBudgetExceeded):
+        two_linkage(_grid(5), 0, 24, 4, 20, budget=1_939)
+
+
+def test_solver_walks_a_long_path_without_recursion():
+    # The path 0..n-1 with a detour 0-a-b-2 around vertex 1, and s2, t2
+    # hanging off vertex 1.  The shortest s1-t1 path takes vertex 1 and
+    # cuts s2 from t2, so the search runs about n vertices deep.
+    n = 1_500
+    a, b, s2, t2 = n, n + 1, n + 2, n + 3
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, a), (a, b), (b, 2), (1, s2), (1, t2)]
+    g = Graph(n + 4, edges)
+    pair = two_linkage(g, 0, n - 1, s2, t2)
+    _check_pair(g, pair, 0, n - 1, s2, t2)
+    assert pair.l.vertices == (0, a, b) + tuple(range(2, n))
+    assert pair.lprime.vertices == (s2, 1, t2)
+
+
 def _ladder_host(levels: int = 3) -> Graph:
     """Roots (0, 1, 2, 3).  Every shortest x1-x3 path runs x1, then a1
     and a ladder of two vertices a level, or a plain track c, then

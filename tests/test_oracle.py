@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import rooted_kite_exists
+from kitelink.constructor import find_kite
 from kitelink.errors import BudgetExceeded, GraphTooSmall, PreconditionViolated
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph
@@ -58,6 +59,27 @@ def test_budget_exhaustion_raises():
         find_kite_exhaustive(g, RootQuadruple(0, 1, 2, 3), SearchBudget(2))
 
 
+def test_budget_bounds_exactly_the_pinned_expansions():
+    # Corner roots of the 4x4 grid have no kite; proving it takes 604.
+    g = Graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3] + [(v, v + 4) for v in range(12)])
+    roots = RootQuadruple(0, 3, 12, 15)
+    assert find_kite_exhaustive(g, roots, SearchBudget(604)) is None
+    with pytest.raises(BudgetExceeded):
+        find_kite_exhaustive(g, roots, SearchBudget(603))
+
+
+def test_long_arc_needs_no_recursion():
+    # C1200 plus a pendant vertex at 0: the arc from x1 to x3 runs
+    # around the whole cycle.  find_kite reaches it through its fallback.
+    n = 1_200
+    g = Graph(n + 1, [(v, (v + 1) % n) for v in range(n)] + [(0, n)])
+    roots = RootQuadruple(n - 1, 0, 1, n)
+    kite = find_kite_exhaustive(g, roots)
+    assert kite.cycle == tuple(range(n)) and kite.pendant == (0, n)
+    res = find_kite(g, roots)
+    assert (res.stage, res.kite) == ("fallback", kite)
+
+
 def test_deterministic_mode_repeats_exactly():
     g = gen_complete_minus_matching(8, 3)
     roots = RootQuadruple(7, 0, 5, 2)
@@ -99,3 +121,22 @@ def test_is_kite_linked_families():
 def test_is_kite_linked_verdict_is_truthy():
     assert bool(is_kite_linked(gen_complete_minus_matching(5, 0)))
     assert not bool(is_kite_linked(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+
+
+def test_is_kite_linked_witness_is_the_first_failing_root():
+    # Root choices run x1 < x3 outermost, then x2, then x4.
+    def first_failing(g):
+        for x1 in range(g.n):
+            for x3 in range(x1 + 1, g.n):
+                for x2 in range(g.n):
+                    for x4 in range(g.n):
+                        if len({x1, x2, x3, x4}) == 4:
+                            roots = RootQuadruple(x1, x2, x3, x4)
+                            if not rooted_kite_exists(g, roots):
+                                return roots
+
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    for g, witness in ((c5, (0, 2, 1, 3)), (k4e, (0, 2, 1, 3))):
+        assert first_failing(g).as_tuple() == witness
+        assert is_kite_linked(g).witness.as_tuple() == witness

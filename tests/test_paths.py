@@ -103,6 +103,8 @@ def test_concat_rejections():
         concat_paths([Path((0, 1, 2)), Path((2, 1))])
     with pytest.raises(InteriorOverlap):
         concat_paths([Path((0, 1, 2)), Path((2, 3, 1, 0))])
+    with pytest.raises(InteriorOverlap):
+        concat_paths([Path((0, 1, 2)), Path((2, 1, 0))])
 
 
 @settings(max_examples=200, deadline=None)
