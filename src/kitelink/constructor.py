@@ -31,6 +31,7 @@ from .errors import (
     InvalidCycle,
     InvariantViolation,
     NoSevenFan,
+    NoTerminalFan,
     NotSevenConnected,
     OrderingViolated,
     PreconditionViolated,
@@ -606,7 +607,7 @@ def _pipeline(
 ) -> tuple[str, KiteSubdivision]:
     tf = terminal_fan(g, roots)
     if tf is None:
-        raise NoSevenFan("no 7-fan from x2 splitting 3/3/1 over x1, x3, x4")
+        raise NoTerminalFan("no 7-fan from x2 splitting 3/3/1 over x1, x3, x4")
     af = apex_fan(g, tf)
     link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4, options.budget)
     if link is None:

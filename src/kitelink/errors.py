@@ -90,6 +90,13 @@ class NoSevenFan(StageFailure):
     stage = "apex-fan"
 
 
+class NoTerminalFan(NoSevenFan):
+    """terminal_fan found no 3/3/1 fan from x2; still a NoSevenFan, so a
+    handler of either fan's failure catches it."""
+
+    stage = "terminal-fan"
+
+
 class OrderingViolated(StageFailure):
     stage = "landmarks"
 

@@ -2,14 +2,17 @@
 
 Everything here is written from the definitions, with no pruning beyond
 simple-path constraints, so it stays independent of the library's search
-code. Sizes are kept small enough for exhaustive enumeration.
+code; the one exception, index_order_connectivity_at_least, is a frozen
+copy of an earlier library check. Sizes are kept small enough for
+exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
-from kitelink.errors import BudgetExceeded, DuplicateTerminals, PreconditionViolated
+from kitelink.errors import BudgetExceeded, DuplicateTerminals, GraphTooSmall, PreconditionViolated
 from kitelink.graphs import Graph
 from kitelink.linkage import LinkagePair
 from kitelink.paths import Path
@@ -111,6 +114,31 @@ def brute_connectivity(g: Graph) -> int:
             if separates(g, frozenset(cut)):
                 return k
     return g.n - 1
+
+
+def index_order_connectivity_at_least(g: Graph, k: int) -> bool:
+    """Even's check (SIAM J. Comput. 4, 1975) with the vertices in index
+    order: a copy of has_connectivity_at_least before it scanned them by
+    degree, kept as the reference its decisions are compared against."""
+    if g.n < 2:
+        raise GraphTooSmall("connectivity needs at least two vertices")
+    if k <= 0:
+        return True
+    if g.min_degree() < k:
+        return False
+    net = g.split_network()
+    for t in range(k):
+        for s in range(t):
+            if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
+                continue
+            if net.max_flow(net.residual({t: k}), s, (t,), k) < k:
+                return False
+    for j in range(k, g.n):
+        if bisect_left(g.neighbors(j), j) >= k:
+            continue
+        if net.max_flow(net.residual(dict.fromkeys(range(j), 1)), j, range(j), k) < k:
+            return False
+    return True
 
 
 def separates(g: Graph, removed: frozenset[int]) -> bool:

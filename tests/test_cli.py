@@ -255,6 +255,17 @@ def test_kite_find_exit_codes_without_kite(tmp_path, capsys):
     assert "stage failure" in err
 
 
+def test_kite_find_names_the_terminal_fan_stage(tmp_path, capsys):
+    # x2 = 4 has degree 4, so no 3/3/1 fan leaves it; the fallback finds
+    # the kite and the diagnostic names the stage that failed.
+    gpath = _write_graph(tmp_path, _bare_flower_graph(extra=[(2, 7)]))
+    code, out, _ = _run(capsys, "kite", "find", gpath, "2", "4", "6", "5")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["stage"] == "fallback"
+    assert [d["stage"] for d in obj["diagnostics"]] == ["terminal-fan"]
+
+
 def test_kite_find_reports_unresolved_flower_as_stage_failure(tmp_path, capsys, monkeypatch):
     # More budget cannot resolve a flower, so this is exit 1, not 3.
     def unresolved(*args):

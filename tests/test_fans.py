@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_connectivity, brute_max_fan, circulant, separates
+from bruteforce import (
+    brute_connectivity,
+    brute_max_fan,
+    circulant,
+    index_order_connectivity_at_least,
+    separates,
+)
 from kitelink.constructor import apex_fan
 from kitelink.errors import (
     GraphTooSmall,
@@ -233,12 +239,7 @@ def test_cut_certificate_invariant():
         CutCertificate(2, frozenset({1}))
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_connectivity_matches_cut_enumeration(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 9)
-    p = rng.choice((0.3, 0.55, 0.8, 1.0))
+def _maybe_separated_graph(rng: random.Random, n: int, p: float) -> Graph:
     # Half the graphs plant a separator S with no edge between sides A
     # and B, which often leaves Even's fan phase to find the cut.
     sides = rng.choice(("A", "ASB"))
@@ -249,7 +250,15 @@ def test_connectivity_matches_cut_enumeration(seed):
         for j in range(i + 1, n)
         if {side[i], side[j]} != {"A", "B"} and rng.random() < p
     ]
-    g = Graph(n, edges)
+    return Graph(n, edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_connectivity_matches_cut_enumeration(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    g = _maybe_separated_graph(rng, n, rng.choice((0.3, 0.55, 0.8, 1.0)))
     want = brute_connectivity(g)
     cert = vertex_connectivity(g)
     assert cert.k == want
@@ -491,3 +500,45 @@ def test_connectivity_at_min_degree_needs_no_cut_search(g, monkeypatch):
     assert cert == CutCertificate(g.degree(v), frozenset(g.neighbors(v)))
     assert repr(cert) == want
     assert separates(g, cert.cut)
+
+
+@pytest.mark.parametrize("family", ["random40", "random12-30", "circulant", "planted", "sparse"])
+def test_degree_order_decides_as_index_order(family):
+    # Even's theorem holds for any vertex order: the degree order changes
+    # which flows run, never a decision.
+    for g in _equivalence_hosts(family):
+        for k in range(g.n + 1):
+            assert has_connectivity_at_least(g, k) == index_order_connectivity_at_least(g, k)
+
+
+def test_degree_order_decides_as_index_order_on_random_graphs():
+    rng = random.Random(31)
+    refused_by_a_flow = 0
+    for _ in range(300):
+        n = rng.randint(2, 18)
+        g = _maybe_separated_graph(rng, n, rng.choice((0.3, 0.5, 0.7, 0.85, 0.95)))
+        for k in range(n + 1):
+            want = index_order_connectivity_at_least(g, k)
+            assert has_connectivity_at_least(g, k) == want
+            refused_by_a_flow += not want and k <= g.min_degree()
+    assert refused_by_a_flow >= 30
+
+
+def test_degree_order_runs_fewer_flows_on_a_dense_host(monkeypatch):
+    # kappa = min degree = 32.  In index order 225 of the 496 pairs among
+    # the first 32 vertices share fewer than 32 neighbours, and 27 later
+    # vertices have fewer than 32 neighbours before them: 252 flows.
+    g = gen_random_kconnected(80, 7, 1)
+    flows = []
+    max_flow = SplitNetwork.max_flow
+
+    def counted(self, *args):
+        flows.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(SplitNetwork, "max_flow", counted)
+    assert index_order_connectivity_at_least(g, 32)
+    index_order = len(flows)
+    flows.clear()
+    assert has_connectivity_at_least(g, 32)
+    assert (len(flows), index_order) == (158, 252)

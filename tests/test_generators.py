@@ -1,6 +1,9 @@
 """Tests for the instance generators."""
 
 import hashlib
+import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -8,8 +11,9 @@ from kitelink import generators, graphs
 from kitelink.errors import PreconditionViolated, VertexOutOfRange
 from kitelink.fans import has_connectivity_at_least
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
+from kitelink.graphs import Graph
 
-from bruteforce import brute_connectivity
+from bruteforce import brute_connectivity, index_order_connectivity_at_least
 
 
 def test_matching_family_removes_fixed_pairs():
@@ -100,3 +104,32 @@ def test_generators_check_the_vertex_cap_before_allocating(monkeypatch):
         gen_complete_minus_matching(11, 0)
     with pytest.raises(VertexOutOfRange):
         gen_random_kconnected(11, 7, 0)
+
+
+def _counter_filter_generator(n: int, k: int, seed: int) -> Graph | None:
+    # gen_random_kconnected as it was before its per-vertex degree getters
+    # and Even's degree order: an edge list per candidate, a Counter over
+    # it, and the connectivity check in index order.
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for p in (0.55, 0.65, 0.75, 0.85, 0.95, 1.0):
+        for _ in range(8):
+            edges = [e for e in pairs if rng.random() < p]
+            degrees = Counter(chain.from_iterable(edges))
+            if any(degrees[v] < k for v in range(n)):
+                continue
+            g = Graph(n, edges)
+            if index_order_connectivity_at_least(g, k):
+                return g
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, k, seeds",
+    [(8, 7, 100), (10, 3, 100), (14, 7, 100), (20, 7, 100), (12, 5, 100), (9, 8, 100), (40, 7, 4)],
+)
+def test_random_generator_matches_the_counter_filter(n, k, seeds):
+    for seed in range(seeds):
+        g = gen_random_kconnected(n, k, seed)
+        want = _counter_filter_generator(n, k, seed)
+        assert (g.n, g.edges) == (want.n, want.edges)
