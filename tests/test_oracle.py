@@ -27,6 +27,8 @@ def test_budget_validation():
 def test_small_graph_rejected():
     with pytest.raises(GraphTooSmall):
         find_kite_exhaustive(Graph(3, [(0, 1)]), RootQuadruple(0, 1, 2, 3))
+    with pytest.raises(GraphTooSmall, match="at least 4 vertices"):
+        is_kite_linked(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_roots_out_of_range_rejected():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from kitelink.errors import MalformedLine, PreconditionViolated
@@ -104,6 +106,14 @@ def test_verify_kite_rejects_role_and_range_errors():
     assert "not x4" in verify_kite(K6, ROOTS, bad_tip).reason
     repeated = KiteSubdivision(cycle=(0, 1, 2), pendant=(1, 5, 5, 3))
     assert "repeats" in verify_kite(K6, ROOTS, repeated).reason
+    no_x1 = KiteSubdivision(cycle=(4, 1, 2), pendant=(1, 3))
+    assert verify_kite(K6, ROOTS, no_x1).reason == "x1=0 not on cycle"
+    no_x3 = KiteSubdivision(cycle=(0, 1, 4), pendant=(1, 3))
+    assert verify_kite(K6, ROOTS, no_x3).reason == "x3=2 not on cycle"
+    bare = KiteSubdivision(cycle=(0, 1, 2), pendant=(1,))
+    assert verify_kite(K6, ROOTS, bare).reason == "pendant has no edge"
+    far = KiteSubdivision(cycle=(0, 1, 2, 9), pendant=(1, 3))
+    assert verify_kite(K6, ROOTS, far).reason == "cycle uses out-of-range vertex 9"
 
 
 # A 9-vertex host: complete graph minus the matching {(0,1), (2,3)}.
@@ -171,14 +181,30 @@ def test_verify_flower_rejects_structural_breaks():
     f = Flower(FLOWER.roots, FLOWER.c1, FLOWER.c2, FLOWER.c3,
                (2, 1), (4, 3), (6, 8), 1, 3, 8)
     assert verify_flower(K9M2, f).reason is not None
+    assert verify_flower(K9M2, f).reason == "p3 landing 8 not on c3"
     # spokes sharing a vertex
     f = Flower(FLOWER.roots, FLOWER.c1, FLOWER.c2, FLOWER.c3,
                (2, 1), (4, 1), FLOWER.p3, 1, 1, 7)
     assert verify_flower(K9M2, f).reason is not None
+    assert verify_flower(K9M2, f).reason == "p1 and p2 share a vertex"
     # missing edge inside a spoke (0-1 was removed by the matching)
     f = Flower(FLOWER.roots, FLOWER.c1, FLOWER.c2, FLOWER.c3,
                (2, 0, 1), FLOWER.p2, FLOWER.p3, 1, 3, 7)
     assert "missing edge" in verify_flower(K9M2, f).reason
+    # one case for each remaining reason, each changing one part of FLOWER
+    assert verify_flower(K6, FLOWER).reason == "root outside graph"
+    cases = [
+        ({"c1": (4, 0, 3)}, "x1 not on c1"),
+        ({"c2": (4, 8, 0)}, "x3 not on c2"),
+        ({"c3": (1, 3, 7)}, "x4 not on c3"),
+        ({"p1": (1, 2)}, "p1 does not start at its root 2"),
+        ({"v1": 3}, "p1 does not end at its landing 3"),
+        ({"p1": (2, 8, 1)}, "p1 interior touches a cycle"),
+        ({"p1": (2,)}, "p1 has no edge"),
+        ({"p1": (2, 9)}, "p1 uses out-of-range vertex 9"),
+    ]
+    for change, reason in cases:
+        assert verify_flower(K9M2, replace(FLOWER, **change)).reason == reason
 
 
 def test_flower_normalizes_cycles():
