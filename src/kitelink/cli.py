@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .constructor import FindKiteOptions, find_kite
 from .errors import (
@@ -54,6 +55,17 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload, separators=(",", ":")))
 
 
+def _emit_found(args, payload: dict | None) -> int:
+    """Report a search: {"found": false} and exit code 1 when payload is
+    None (nothing found), else {"found": true} followed by payload's
+    keys, and 0."""
+    if payload is None:
+        _emit(args, {"found": False})
+        return 1
+    _emit(args, {"found": True, **payload})
+    return 0
+
+
 def _cmd_conn(args) -> int:
     g = _read_graph(args.graph)
     cert = vertex_connectivity(g)
@@ -71,35 +83,13 @@ def _cmd_fan(args) -> int:
             f"targets {args.targets!r} are not comma-separated integers"
         ) from None
     fan = find_fan(g, args.x, targets, args.k)
-    if fan is None:
-        _emit(args, {"found": False})
-        return 1
-    _emit(
-        args,
-        {
-            "found": True,
-            "center": fan.center,
-            "arms": [list(arm.vertices) for arm in fan.arms],
-        },
-    )
-    return 0
+    return _emit_found(args, fan and {"center": fan.center, "arms": [list(a) for a in fan.arms]})
 
 
 def _cmd_link2(args) -> int:
     g = _read_graph(args.graph)
     pair = two_linkage(g, args.s1, args.t1, args.s2, args.t2, args.budget)
-    if pair is None:
-        _emit(args, {"found": False})
-        return 1
-    _emit(
-        args,
-        {
-            "found": True,
-            "path1": list(pair.l.vertices),
-            "path2": list(pair.lprime.vertices),
-        },
-    )
-    return 0
+    return _emit_found(args, pair and {"path1": list(pair.l), "path2": list(pair.lprime)})
 
 
 def _cmd_kite_find(args) -> int:
@@ -163,18 +153,8 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    config = TrialConfig(
-        generator=args.generator,
-        n=args.n,
-        k=args.k,
-        matching=args.matching,
-        trials=args.trials,
-        seed=args.seed,
-        roots=args.roots,
-        oracle_fraction=args.oracle_fraction,
-        budget=args.budget,
-        timing=args.timing,
-    )
+    # Each trials option is named after the TrialConfig field it sets.
+    config = TrialConfig(**{f.name: getattr(args, f.name) for f in fields(TrialConfig)})
     reports = run_trials(config)
     for line in report_lines(reports, timing=args.timing):
         print(line)

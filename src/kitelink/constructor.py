@@ -38,6 +38,7 @@ from .errors import (
     SegmentsNotChainable,
     StageFailure,
     VertexNotOnPath,
+    check_budget,
 )
 from .fans import (
     Fan,
@@ -120,8 +121,7 @@ class FindKiteOptions:
     budget: int = DEFAULT_BUDGET  # expansions for two_linkage's search and for the fallback
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise PreconditionViolated("budget needs at least one expansion")
+        check_budget(self.budget)
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,23 @@ def _landing_frame(tf: TerminalFan, af: ApexFan):
     tagged = [(arm, w, _arm_index(tf_o.q, tf_o.x1, w)) for arm, w in af.landings]
     interior = [t for t in tagged if t[2] is not None]
     return tf_o, interior, sorted({idx for _, _, idx in interior})
+
+
+def _one_q_path(tf: TerminalFan, af: ApexFan, refusal: Exception):
+    """The oriented terminal fan, Q1 and the other two Q-paths, for the
+    one-sided case where every landing away from x1 is on Q1; raises
+    refusal when the landings span some other number of Q-paths."""
+    tf_o, _, spanned = _landing_frame(tf, af)
+    if len(spanned) != 1:
+        raise refusal
+    return tf_o, tf_o.q[spanned[0]], [q for i, q in enumerate(tf_o.q) if i != spanned[0]]
+
+
+def _landing_pendant(q: Path, arm: Path, w: int, x2: int, x4: int) -> Path | Cycle:
+    """The pendant from x2 down the Q-path q to its landing w, then out
+    along w's landing arm to x4.  x2 and x4 are the terminal fan's, not
+    read off q and arm, so a broken arm fails the splice."""
+    return concat_paths([subpath(q, x2, w), subpath(arm, w, x4)])
 
 
 def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
@@ -371,7 +388,6 @@ def claim2_assembly(
     Q-path) and the next case should run.
     """
     tf_o, interior, spanned = _landing_frame(tf, af)
-    x2, x4 = tf_o.hub, tf_o.x4
     if len(spanned) < 2:
         return None
     try:
@@ -379,9 +395,7 @@ def claim2_assembly(
         l_idx = next(i for i in spanned if i != u_idx)
         cycle = concat_paths([tf_o.q[_other(l_idx, u_idx)], stem, lm.t_path])
         arm_l, w_l, _ = next(t for t in interior if t[2] == l_idx)
-        pendant = concat_paths(
-            [subpath(tf_o.q[l_idx], x2, w_l), subpath(arm_l, w_l, x4)]
-        )
+        pendant = _landing_pendant(tf_o.q[l_idx], arm_l, w_l, tf_o.hub, tf_o.x4)
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim2 pieces overlap: {exc}") from exc
     return _checked(g, tf_o, cycle, pendant, "claim2")
@@ -399,18 +413,14 @@ def claim3_assembly(
     the pendant.  None means the ordering hypothesis holds and the
     flower is next.
     """
-    tf_o, _, spanned = _landing_frame(tf, af)
-    x2, x4 = tf_o.hub, tf_o.x4
-    if len(spanned) != 1:
-        raise PreconditionViolated("claim3 expects all interior landings on one Q-path")
-    q1_idx = spanned[0]
-    q1 = tf_o.q[q1_idx]
-    rest = [tf_o.q[i] for i in range(3) if i != q1_idx]
+    tf_o, q1, rest = _one_q_path(
+        tf, af, PreconditionViolated("claim3 expects all interior landings on one Q-path")
+    )
     try:
         ws = af.landings
         arm1, w1 = ws[0]
         u = lm.u
-        pendant = concat_paths([subpath(q1, x2, w1), subpath(arm1, w1, x4)])
+        pendant = _landing_pendant(q1, arm1, w1, tf_o.hub, tf_o.x4)
         closing = rest[1]
         if u in q1:
             if all(q1.index(w) >= q1.index(u) for _, w in ws):
@@ -432,52 +442,34 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     Q-path, ordered away from x2 beyond u (or beyond u's own landing
     when u sits on the W-arm landing nearest x2).
     """
-    tf_o, _, spanned = _landing_frame(tf, af)
+    tf_o, q1, rest = _one_q_path(tf, af, FlowerInvalid("landings spread over several Q-paths"))
     x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
-    if len(spanned) != 1:
-        raise FlowerInvalid("landings spread over several Q-paths")
-    q1 = tf_o.q[spanned[0]]
-    rest = [tf_o.q[i] for i in range(3) if i != spanned[0]]
     r1 = tf_o.r[lm.r1_index]
     rrest = [tf_o.r[i] for i in range(3) if i != lm.r1_index]
     u, uprime, v, w = lm.u, lm.uprime, lm.v, lm.w
     p = af.p
     try:
-        ws = af.landings
-        (arm1, w1), (arm2, w2) = ws[0], ws[1]
+        (arm1, w1), (arm2, w2) = af.landings[0], af.landings[1]
         c1 = concat_paths([rest[0], rest[1].reverse()])
         c2 = concat_paths([rrest[0], rrest[1].reverse()])
         seg_l = subpath(lm.t_path, u, uprime)
+        # c3 runs x4 down arm2 to w2, along Q1 to v2, on to u, along L
+        # to u' and back along P to x4; v2 is u, or w1 when u is on w1's arm.
         if u in q1:
             if q1.index(w1) < q1.index(u):
                 raise FlowerInvalid("a landing sits between x2 and u; claim3 applies")
-            c3 = concat_paths(
-                [subpath(arm2, x4, w2), subpath(q1, w2, u), seg_l, subpath(p, uprime, x4)]
-            )
-            p2, v2 = subpath(q1, x2, u), u
+            v2, to_u = u, q1
         else:
             if u not in arm1:
                 raise FlowerInvalid("u is off Q1 and off the nearest-landing arm")
-            c3 = concat_paths(
-                [
-                    subpath(arm2, x4, w2),
-                    subpath(q1, w2, w1),
-                    subpath(arm1, w1, u),
-                    seg_l,
-                    subpath(p, uprime, x4),
-                ]
-            )
-            p2, v2 = subpath(q1, x2, w1), w1
+            v2, to_u = w1, arm1
+        x4_to_u = [subpath(arm2, x4, w2), subpath(q1, w2, v2), subpath(to_u, v2, u)]
+        c3 = concat_paths(x4_to_u + [seg_l, subpath(p, uprime, x4)])
+        p2 = subpath(q1, x2, v2)
         p1, v1 = subpath(q1, x1, w2), w2
-        if p.index(v) <= p.index(uprime):
-            p3, v3 = concat_paths([subpath(r1, x3, w), subpath(lm.t_path, w, v)]), v
-        else:
-            p3, v3 = (
-                concat_paths(
-                    [subpath(r1, x3, w), subpath(lm.t_path, w, v), subpath(p, v, uprime)]
-                ),
-                uprime,
-            )
+        # p3 climbs P from v to u' when v lies past u' on P.
+        v3 = v if p.index(v) <= p.index(uprime) else uprime
+        p3 = concat_paths([subpath(r1, x3, w), subpath(lm.t_path, w, v), subpath(p, v, v3)])
     except _SPLICE_ERRORS as exc:
         raise FlowerInvalid(f"flower pieces overlap: {exc}") from exc
     if not isinstance(c1, Cycle) or not isinstance(c2, Cycle) or not isinstance(c3, Cycle):
@@ -527,8 +519,7 @@ def resolve_flower(g: Graph, f: Flower, budget: int = DEFAULT_BUDGET) -> KiteSub
     verdict = verify_flower(g, f)
     if not verdict:
         raise PreconditionViolated(f"flower invalid: {verdict.reason}")
-    if budget < 1:
-        raise PreconditionViolated("budget needs at least one expansion")
+    check_budget(budget)
     x1, x2, x3, x4 = f.roots.as_tuple()
     c3_arc = next(arc for arc in _arcs(f.c3, f.v1, f.v3) if f.v2 in arc)
     middle = list(f.p1) + c3_arc[1:] + list(f.p3[-2::-1])

@@ -68,6 +68,12 @@ class InvalidBaseFan(PreconditionViolated):
 DEFAULT_BUDGET = 10_000_000
 
 
+def check_budget(budget: int) -> None:
+    """Refuse a budget that leaves a bounded search no expansion to spend."""
+    if budget < 1:
+        raise PreconditionViolated("budget needs at least one expansion")
+
+
 class BudgetExceeded(KitelinkError):
     """A bounded search ran out of node expansions before deciding."""
 

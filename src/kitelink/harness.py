@@ -23,6 +23,7 @@ from .errors import (
     GraphTooSmall,
     KitelinkError,
     PreconditionViolated,
+    check_budget,
 )
 from .generators import gen_complete_minus_matching, gen_random_kconnected
 from .graphs import Graph
@@ -57,8 +58,7 @@ class TrialConfig:
             raise PreconditionViolated("need at least one trial")
         if not 0.0 <= self.oracle_fraction <= 1.0:
             raise PreconditionViolated("oracle fraction must sit in [0, 1]")
-        if self.budget < 1:
-            raise PreconditionViolated("budget needs at least one expansion")
+        check_budget(self.budget)
 
 
 @dataclass(frozen=True)

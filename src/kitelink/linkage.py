@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, DuplicateTerminals, LinkageBudgetExceeded, PreconditionViolated
+from .errors import (
+    DEFAULT_BUDGET, DuplicateTerminals, LinkageBudgetExceeded, PreconditionViolated, check_budget
+)
 from .graphs import Graph, connected_avoiding, layers_avoiding, shortest_avoiding, vertex_mask
 from .paths import Path
 
@@ -65,8 +67,7 @@ def two_linkage(
     bounds its depth.
     """
     _validate_terminals(g, s1, t1, s2, t2)
-    if budget < 1:
-        raise PreconditionViolated("budget needs at least one expansion")
+    check_budget(budget)
     first = shortest_avoiding(g, s1, t1, (1 << s2) | (1 << t2))
     if first is None:
         return None

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, GraphTooSmall, PreconditionViolated
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceeded, GraphTooSmall, PreconditionViolated, check_budget
+)
 from .graphs import Graph, connected_avoiding, vertex_mask
 from .paths import Cycle, Path
 from .structures import KiteSubdivision, RootQuadruple
@@ -31,8 +33,7 @@ class SearchBudget:
     max_expansions: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.max_expansions < 1:
-            raise PreconditionViolated("budget needs at least one expansion")
+        check_budget(self.max_expansions)
 
 
 @dataclass(frozen=True)

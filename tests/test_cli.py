@@ -1,5 +1,6 @@
 """Tests for the command-line surface, run in-process."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,10 +8,11 @@ import json
 import pytest
 
 from kitelink import constructor, generators, graphs
-from kitelink.cli import main
+from kitelink.cli import build_parser, main
 from kitelink.errors import FlowerResolutionExhausted
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph, format_graph, graph_as_json
+from kitelink.harness import TrialConfig
 
 
 def _write_graph(tmp_path, g, name="g.txt"):
@@ -239,6 +241,11 @@ def test_kite_oracle_finds_and_respects_budget(tmp_path, capsys):
     code, _, err = _run(capsys, "kite", "oracle", gpath, "0", "1", "2", "3", "--budget", "1")
     assert code == 3
     assert "budget" in err
+    # C5 carries no rooted kite: the search ends with found false.
+    c5 = _write_graph(tmp_path, Graph(5, [(i, (i + 1) % 5) for i in range(5)]), "c5.txt")
+    code, out, _ = _run(capsys, "kite", "oracle", c5, "0", "1", "2", "3")
+    assert code == 1
+    assert out == '{"found":false}\n'
 
 
 def test_kite_find_exit_codes_without_kite(tmp_path, capsys):
@@ -370,6 +377,14 @@ def test_trials_rejects_fewer_than_four_vertices(capsys, roots):
     )
     assert code == 2
     assert out == "" and "4 vertices" in err
+
+
+def test_trials_options_mirror_trial_config():
+    # The trials command builds its TrialConfig field by field from the
+    # parsed options, so each field needs an option with its default.
+    args = build_parser().parse_args(["trials"])
+    for f in dataclasses.fields(TrialConfig):
+        assert getattr(args, f.name) == f.default, f.name
 
 
 def test_trials_stream_matches_golden_digests(capsys):

@@ -76,6 +76,16 @@ def test_oracle_gate_all_or_nothing():
     assert all(not r.oracle_checked for r in run_trials(silent))
 
 
+def test_oracle_out_of_budget_leaves_agreement_unknown():
+    # One expansion is enough for find_kite on these hosts but not for the
+    # exhaustive oracle, so each trial succeeds with no verdict from it.
+    config = TrialConfig(n=12, trials=5, seed=3, oracle_fraction=1.0, budget=1)
+    reports = run_trials(config)
+    assert [r.outcome for r in reports] == ["success"] * 5
+    assert all(r.oracle_checked and r.oracle_agrees is None for r in reports)
+    assert all(json.loads(line)["oracle_agrees"] is None for line in report_lines(reports))
+
+
 def test_matching_generator_fixes_graph_across_trials():
     config = TrialConfig(generator="kminusmatching", n=9, matching=3, trials=5, seed=1)
     reports = run_trials(config)
