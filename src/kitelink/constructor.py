@@ -443,6 +443,8 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     when u sits on the W-arm landing nearest x2).
     """
     tf_o, q1, rest = _one_q_path(tf, af, FlowerInvalid("landings spread over several Q-paths"))
+    if len(af.landings) < 2:
+        raise FlowerInvalid("the flower needs two landings on Q1")
     x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
     r1 = tf_o.r[lm.r1_index]
     rrest = [tf_o.r[i] for i in range(3) if i != lm.r1_index]

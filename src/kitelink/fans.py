@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphTooSmall, InvalidBaseFan, InvariantViolation, PreconditionViolated
+from .flow import SplitNetwork
 from .graphs import Graph, vertex_mask
 from .paths import Path
 from .structures import RootQuadruple
@@ -132,9 +133,9 @@ def extend_fan(
     The base is routed first and augmented from; an augmenting path
     never lowers the flow into the sink, so every base endpoint keeps
     its arm, and augmenting from any flow reaches the maximum, so
-    pinning loses nothing.  apex_fan, its main caller, takes 0.113 ms
-    per call (best of 7) on random 7-connected 40-vertex graphs on a
-    2-core Xeon.
+    pinning loses nothing.  apex_fan, its main caller, takes 0.05-0.06 ms
+    per call (mean over 300 root choices, best of 7) on random
+    7-connected 40-vertex graphs on a 2-core Xeon.
     """
     s = frozenset(s)
     _validate_fan_args(g, x, s, k)
@@ -156,8 +157,9 @@ def extend_fan(
 def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     """Seven internally disjoint paths from x2: three to x1, three to x3,
     one to x4.  None when the graph cannot host them.  On random
-    7-connected 40-vertex graphs it takes 0.048 ms per call (best of 7)
-    on a 2-core Xeon, the graph's split network already built."""
+    7-connected 40-vertex graphs it takes 0.03-0.04 ms per call (mean
+    over 300 root choices, best of 7) on a 2-core Xeon, the graph's
+    split network already built."""
     if not roots.in_range(g.n):
         raise PreconditionViolated("roots outside graph")
     x1, x2, x3, x4 = roots.as_tuple()
@@ -178,47 +180,36 @@ def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
 def vertex_connectivity(g: Graph) -> CutCertificate:
     """Exact vertex connectivity with a minimum separating set.
 
-    For a minimum-degree vertex v (the lowest-numbered one), kappa is at
-    most deg(v), so one has_connectivity_at_least(g, deg(v)) decision
-    settles kappa = deg(v), and the cut is then N(v): the certificate
-    a scan with no upper bound would return, with no scan.  Otherwise
-    kappa < deg(v), and the scan starts from deg(v) and keeps the first
-    cut of each smaller size.  Esfahanian and Hakimi (Networks 14,
-    1984): every minimum separator either misses v, and then splits v
-    from one of its non-neighbours, or contains v, and then splits two
-    non-adjacent neighbours of v.  So n - 1 - deg(v) flows from v plus
-    one flow per non-adjacent pair of its neighbours suffice, all on the
-    graph's SplitNetwork, where each flow routes the pair's paths
-    through common neighbours before it augments.  On a 2-core Xeon the
-    circulant C80(1,2,3,4) takes about 0.02 s, and
-    gen_random_kconnected(80, 7, 1), of connectivity 32 = deg(v), about
-    0.2 s, nearly all of it Even's check.  Where kappa < deg(v), Even's
-    check usually fails within a few flows and adds a few percent to the
-    scan.  Complete graphs get k = n - 1 and no cut.
+    A descent on Even's check (has_connectivity_at_least).  For the
+    lowest-numbered vertex v of minimum degree, kappa <= k = deg(v), and
+    N(v) is a cut of that size.  While the check fails at k, the flow
+    that failed has some value below k, and the min cut behind it is a
+    separator of g of exactly that size.  A pair query's cut splits its
+    two non-adjacent vertices.  A fan query's cut splits the later vertex
+    from the earlier vertices outside the cut (the fan lemma), and some
+    earlier vertex is outside it, since at least k came earlier.  So k
+    drops to the flow's value, that cut becomes the witness, and the
+    check runs again; it passes once k = kappa, after at most
+    deg(v) - kappa + 1 checks.  Where kappa = deg(v) that is one check
+    and the witness is N(v).  All flows run on the graph's SplitNetwork.
+    On a 2-core Xeon, the split network built, the circulant
+    C80(1,2,3,4) takes about 0.02 s and gen_random_kconnected(80, 7, 1),
+    of connectivity 32 = deg(v), 0.1-0.2 s.  Two C_h(1,2,3,4) rings
+    joined by three edges (kappa = 3, deg(v) = 8) take one descent step:
+    0.011 s at n = 500, 0.052 s at n = 2,000 and 0.11 s at n = 4,000.
+    Complete graphs get k = n - 1 and no cut.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
     if g.is_complete():
         return CutCertificate(g.n - 1, None)
     v = min(g.vertices(), key=g.degree)
-    nbrs = g.neighbors(v)
-    if has_connectivity_at_least(g, len(nbrs)):
-        # Unbounded, the scan's first pair is v and a non-neighbour; its
-        # flow of deg(v) < n - 1 saturates every arc out of v, so its cut
-        # is N(v), a set filled in ascending order as min_cut fills it.
-        return CutCertificate(len(nbrs), frozenset(set(nbrs)))
-    net = g.split_network()
-    pairs = [(v, w) for w in g.vertices() if w != v and not g.has_edge(v, w)]
-    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if not g.has_edge(a, b)]
-    best, best_cut = len(nbrs), None
-    for s, t in pairs:
-        cap = net.residual({t: best})
-        value = net.max_flow(cap, s, (t,), best)
-        if value < best:
-            best, best_cut = value, net.min_cut(cap, s, t)
-    if best_cut is None:
-        raise InvariantViolation("connectivity scan lost its witness")
-    return CutCertificate(best, best_cut)
+    # Built through a set, as min_cut builds its cuts, so N(v) prints alike.
+    k, cut = g.degree(v), frozenset(set(g.neighbors(v)))
+    while (failed := _failing_query(g, k)) is not None:
+        net, cap, source, k = failed
+        cut = net.min_cut(cap, source)
+    return CutCertificate(k, cut)
 
 
 def has_connectivity_at_least(g: Graph, k: int) -> bool:
@@ -233,10 +224,12 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
     graph keeps index order and runs the same flows.  The first k
     vertices then often share k neighbours, and a later vertex often
     has k neighbours before it; a pair or a vertex like that runs no
-    flow.  On a 2-core Xeon, with the split network built, the check
-    takes about 0.1 ms on a random 7-connected 14-vertex host, and on
-    gen_random_kconnected(80, 7, 1) at k = 32 it runs 158 flows in about
-    0.2 s.
+    flow.  The check stops at the first flow that falls short and reads
+    no cut from it; vertex_connectivity does, to descend to kappa.  On a
+    2-core Xeon, with the split network built, the check takes about
+    0.1 ms on a random 7-connected 14-vertex host, and on
+    gen_random_kconnected(80, 7, 1) at k = 32 it runs 158 flows in
+    0.1-0.2 s.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -244,6 +237,12 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if g.min_degree() < k:
         return False
+    return _failing_query(g, k) is None
+
+
+def _failing_query(g: Graph, k: int) -> tuple[SplitNetwork, list[int], int, int] | None:
+    """Even's check at k <= min degree: None when it passes, else the
+    first flow that fell short as (net, cap, source vertex, value)."""
     # Every fan below has at least k targets.  Some maximum path system
     # holds every one-edge fan arm and every two-edge path through a
     # common neighbour, so a pair or a vertex with k such paths needs no
@@ -255,13 +254,15 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
         for s in order[:i]:
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            if net.max_flow(net.residual({t: k}), s, (t,), k) < k:
-                return False
+            cap = net.residual({t: k})
+            if (value := net.max_flow(cap, s, (t,), k)) < k:
+                return net, cap, s, value
     before = vertex_mask(order[:k])
     for i, j in enumerate(order[k:], k):
         if (g.adjacency_mask(j) & before).bit_count() < k:
             earlier = order[:i]
-            if net.max_flow(net.residual(dict.fromkeys(earlier, 1)), j, earlier, k) < k:
-                return False
+            cap = net.residual(dict.fromkeys(earlier, 1))
+            if (value := net.max_flow(cap, j, earlier, k)) < k:
+                return net, cap, j, value
         before |= 1 << j
-    return True
+    return None

@@ -243,10 +243,12 @@ class SplitNetwork:
             arms.append(arm)
         return arms
 
-    def min_cut(self, cap: list[int], x: int, t: int) -> frozenset[int]:
-        """The vertex cut behind a max flow from x into {t} that stopped
-        short of its limit, read from the nodes that augment's search
-        still reaches in that query's residual."""
+    def min_cut(self, cap: list[int], x: int) -> frozenset[int]:
+        """The vertex cut behind a max flow from x that stopped short of
+        its limit, read from the nodes that augment's search still
+        reaches in that query's residual.  It has one vertex per unit of
+        flow, never x, and meets every path from x to the query's
+        targets; it may hold targets."""
         prev_arc = self._search(cap, exit_(x))
         cut: set[int] = set()
         for v, aid in enumerate(self.split_arcs):
@@ -257,7 +259,7 @@ class SplitNetwork:
                 continue
             for aid in arcs:
                 b = self.head[aid] >> 1
-                if cap[aid] == 0 and prev_arc[entry(b)] == -1 and b != t and b != x:
+                if cap[aid] == 0 and prev_arc[entry(b)] == -1 and b != x:
                     cut.add(b)
         return frozenset(cut)
 

@@ -199,6 +199,15 @@ def circulant(n: int, steps: tuple[int, ...]) -> Graph:
     return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
 
 
+def joined_rings(n: int) -> Graph:
+    """Two C_h(1,2,3,4) rings, h = n // 2, on 0..h-1 and h..2h-1, joined
+    by the edges i -- h + i for i = 0, h // 3 and 2h // 3: minimum
+    degree 8 and connectivity 3."""
+    h = n // 2
+    edges = [(o + i, o + (i + s) % h) for o in (0, h) for i in range(h) for s in (1, 2, 3, 4)]
+    return Graph(2 * h, edges + [(i, h + i) for i in (0, h // 3, 2 * h // 3)])
+
+
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from bruteforce import joined_rings, separates
 from kitelink import constructor, generators, graphs
 from kitelink.cli import build_parser, main
 from kitelink.errors import FlowerResolutionExhausted
@@ -67,6 +68,14 @@ def test_conn_accepts_json_graph(tmp_path, capsys):
     code, out, _ = _run(capsys, "conn", str(path))
     assert code == 0
     assert json.loads(out)["m"] == g.m
+
+
+def test_conn_prints_a_separating_cut_below_min_degree(tmp_path, capsys):
+    g = joined_rings(400)
+    code, out, _ = _run(capsys, "conn", _write_graph(tmp_path, g))
+    obj = json.loads(out)
+    assert (code, obj["connectivity"], len(obj["cut"])) == (0, 3, 3)
+    assert separates(g, frozenset(obj["cut"]))
 
 
 def test_malformed_graph_exits_2(tmp_path, capsys):

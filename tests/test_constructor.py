@@ -455,6 +455,18 @@ def test_build_flower_rejects_landing_before_contact():
         build_flower(g, tf, af, lm)
 
 
+def test_build_flower_rejects_a_single_landing():
+    # A real apex fan with its landings cut to one still passes the
+    # one-Q-path check; the flower needs a second landing on Q1.
+    g = circulant(26, (1, 2, 3, 4))
+    tf, af = _fans(g, RootQuadruple(23, 0, 17, 9))
+    l = Path((23, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 17))
+    for kept in (af.landings[:1], af.landings[1:2]):
+        cut = ApexFan(af.p, kept, af.side)
+        with pytest.raises(FlowerInvalid, match="two landings"):
+            build_flower(g, tf, cut, compute_landmarks(l, tf, cut))
+
+
 def test_resolve_flower_finds_kite_on_dense_host():
     g = gen_complete_minus_matching(9, 2)
     kite = resolve_flower(g, BARE_FLOWER)

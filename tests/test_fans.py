@@ -14,6 +14,7 @@ from bruteforce import (
     brute_max_fan,
     circulant,
     index_order_connectivity_at_least,
+    joined_rings,
     separates,
 )
 from kitelink.constructor import apex_fan
@@ -389,7 +390,7 @@ def _reference_connectivity(g: Graph) -> CutCertificate:
         cap = net.residual({t: best})
         value = _augment_only(net, cap, s, best)
         if value < best:
-            best, best_cut = value, net.min_cut(cap, s, t)
+            best, best_cut = value, net.min_cut(cap, s)
     return CutCertificate(best, best_cut)
 
 
@@ -470,8 +471,8 @@ def test_extend_fan_matches_augmentation_alone_on_random_bases():
 
 
 def test_connectivity_matches_the_scan_on_planted_separators():
-    # Where kappa < min degree Even's check fails and the
-    # Esfahanian-Hakimi scan runs; elsewhere the check settles kappa.
+    # Where kappa < min degree the cut comes from the flow that failed
+    # Even's check, and on these hosts it is the reference scan's cut.
     hosts = _equivalence_hosts("planted")
     below_min_degree = 0
     for g in hosts:
@@ -493,7 +494,7 @@ def test_connectivity_matches_the_scan_on_planted_separators():
 )
 def test_connectivity_at_min_degree_needs_no_cut_search(g, monkeypatch):
     # kappa = min degree: one Even decision gives the neighbourhood of
-    # the lowest minimum-degree vertex, with no scan flow and no min_cut.
+    # the lowest minimum-degree vertex, with no min_cut.
     # On random40-2 a frozenset built straight from the neighbour tuple
     # prints in another order than the scan's, so repr is compared.
     want = repr(_reference_connectivity(g))
@@ -507,6 +508,23 @@ def test_connectivity_at_min_degree_needs_no_cut_search(g, monkeypatch):
     assert cert == CutCertificate(g.degree(v), frozenset(g.neighbors(v)))
     assert repr(cert) == want
     assert separates(g, cert.cut)
+
+
+def test_connectivity_below_min_degree_reads_the_failing_flows_cut(monkeypatch):
+    # kappa = 3 < min degree = 8: Even's check at k = 8 fails on a flow
+    # of value 3, its cut is the witness, and the check passes at k = 3.
+    g = joined_rings(400)
+    cuts = []
+    min_cut = SplitNetwork.min_cut
+
+    def counted(self, *args):
+        cuts.append(min_cut(self, *args))
+        return cuts[-1]
+
+    monkeypatch.setattr(SplitNetwork, "min_cut", counted)
+    cert = vertex_connectivity(g)
+    assert (cert.k, g.min_degree(), len(cuts)) == (3, 8, 1)
+    assert cert.cut == cuts[0] and separates(g, cert.cut)
 
 
 @pytest.mark.parametrize("family", ["random40", "random12-30", "circulant", "planted", "sparse"])

@@ -1,8 +1,9 @@
-"""The one-pass SplitNetwork build against adding its arcs one at a time."""
+"""The one-pass SplitNetwork build against adding its arcs one at a
+time, and the cuts min_cut reads against the graph."""
 
 import random
 
-from bruteforce import circulant
+from bruteforce import _separates_fan, circulant, separates
 from kitelink.flow import SplitNetwork, entry, exit_
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
@@ -60,3 +61,39 @@ def test_one_pass_build_equals_arc_by_arc_build():
         net = SplitNetwork(g)
         for name, want in _arcs_one_at_a_time(g).items():
             assert getattr(net, name) == want, (g, g.edges, name)
+
+
+def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
+    # Pair queries (one absorbing target) and fan-to-set queries (unit
+    # targets): a flow that stops short of its limit has a cut of its own
+    # size that holds no source and meets every source-target path.
+    rng = random.Random(41)
+    pair_cuts = fan_cuts = cut_targets = 0
+    for _ in range(60):
+        n, p = rng.randint(3, 16), rng.choice((0.3, 0.5, 0.7))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        net = g.split_network()
+        for s in range(n):
+            for t in range(n):
+                if t == s or g.has_edge(s, t):
+                    continue
+                cap = net.residual({t: n})
+                value = net.max_flow(cap, s, (t,), n)
+                cut = net.min_cut(cap, s)
+                assert len(cut) == value and s not in cut and t not in cut
+                assert _separates_fan(g, s, frozenset({t}), cut)
+                assert separates(g, cut)
+                pair_cuts += 1
+            others = [v for v in range(n) if v != s]
+            targets = frozenset(rng.sample(others, rng.randint(1, len(others))))
+            limit = len(targets)
+            cap = net.residual(dict.fromkeys(targets, 1))
+            value = net.max_flow(cap, s, targets, limit)
+            if value < limit:
+                cut = net.min_cut(cap, s)
+                assert len(cut) == value and s not in cut
+                assert _separates_fan(g, s, targets, cut)
+                fan_cuts += 1
+                cut_targets += bool(cut & targets)
+    # A fan cut may hold targets the flow reached directly.
+    assert pair_cuts >= 3000 and fan_cuts >= 300 and cut_targets >= 100
