@@ -249,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ksub.add_parser("linked", help="decide kite-linkage of a whole graph")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="expansions for the whole scan, every root choice counted",
+    )
     p.set_defaults(func=_cmd_kite_linked)
 
     gen = sub.add_parser("gen", help="instance generators")

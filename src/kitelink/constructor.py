@@ -41,9 +41,8 @@ from .errors import (
     check_budget,
 )
 from .fans import (
-    Fan,
     TerminalFan,
-    extend_fan,
+    _grow_fan,
     has_connectivity_at_least,
     terminal_fan,
     vertex_connectivity,
@@ -151,36 +150,52 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     distinct vertices, and by pigeonhole one side of the terminal fan
     receives at least three of them.  Roles are swapped if needed so that
     side is the Q side.  None of those landings is x2 and at most one is
-    x1, so at least two lie clear of both.
+    x1, so at least two lie clear of both.  This is _apex_arms followed
+    by _apex_landings; find_kite runs the second only when its linkage
+    path meets p, since claim 1 reads p alone.
     """
-    x2, x4 = tf.hub, tf.x4
-    base = Fan(x4, (tf.s.reverse(),))
-    fan = extend_fan(g, x4, _vertices(tf.q + tf.r), base, 7)
-    if fan is None:
-        raise NoSevenFan(f"no 7-fan from x4={x4} into the terminal fan")
-    p = next((arm for arm in fan.arms if arm.last == x2), None)
+    arms, p = _apex_arms(g, tf)
+    return ApexFan(p, *_apex_landings(tf, arms))
+
+
+def _apex_arms(g: Graph, tf: TerminalFan) -> tuple[list[list[int]], Path]:
+    """The seven arms of the apex fan as vertex lists, and p."""
+    # The base arm is the terminal fan's own x4 arm, which its flow made
+    # a valid one-arm fan into V(Q) + V(R), so it is not checked again.
+    arms = _grow_fan(g, tf.x4, _vertices(tf.q + tf.r), [tf.s.vertices[::-1]], 7)
+    if arms is None:
+        raise NoSevenFan(f"no 7-fan from x4={tf.x4} into the terminal fan")
+    p = next((arm for arm in arms if arm[-1] == tf.hub), None)
     if p is None:
         raise InvariantViolation("apex fan extension lost the x2 arm")
+    return arms, Path(p)
+
+
+def _apex_landings(
+    tf: TerminalFan, arms: list[list[int]]
+) -> tuple[tuple[tuple[Path, int], ...], str]:
+    """The apex fan's landings in ApexFan's order, and its side."""
     qverts = _vertices(tf.q)
-    others = [arm for arm in fan.arms if arm.last != x2]
-    qside = [arm for arm in others if arm.last in qverts]
+    others = [arm for arm in arms if arm[-1] != tf.hub]
+    qside = [arm for arm in others if arm[-1] in qverts]
     side = "kept"
     tf_o = tf
     if len(qside) < 3:
         side = "swapped"
         tf_o = tf.swap_sides()
-        qside = [arm for arm in others if arm.last not in qverts]
+        qside = [arm for arm in others if arm[-1] not in qverts]
 
-    def landing_key(arm: Path):
-        # By Q-path, then nearest x2 first; x1 sorts last.
-        w = arm.last
+    def landing_key(arm: list[int]):
+        # By Q-path, then nearest x2 first; x1 sorts last.  Landings are
+        # distinct, so no two keys tie.
+        w = arm[-1]
         idx = _arm_index(tf_o.q, tf_o.x1, w)
         if idx is None:
-            return (3, 0, arm.vertices)
-        return (idx, tf_o.q[idx].index(w), arm.vertices)
+            return (3, 0)
+        return (idx, tf_o.q[idx].index(w))
 
     ordered = sorted(qside, key=landing_key)
-    return ApexFan(p, tuple((arm, arm.last) for arm in ordered), side)
+    return tuple((Path(arm), arm[-1]) for arm in ordered), side
 
 
 def _vertices(paths) -> set[int]:
@@ -368,15 +383,16 @@ def _checked(g: Graph, tf_o: TerminalFan, cycle, pendant, stage: str) -> KiteSub
 def claim1_assembly(g: Graph, tf: TerminalFan, p: Path, pprime: Path) -> KiteSubdivision:
     """Assembly for the case where the x1-x3 path avoids p entirely.
 
-    This is the crossing assembly with no landing arms.  Walking pprime
-    from x1, the stretch between its last Q-vertex before the first
-    R-vertex and that R-vertex crosses from the Q side to the R side
-    while dodging both; closing it through unused fan arms gives the
-    cycle, and p (reversed) is the pendant.
+    This is the crossing assembly with no landing arms, which assemble
+    runs on an apex fan cut down to p.  Walking pprime from x1, the
+    stretch between its last Q-vertex before the first R-vertex and that
+    R-vertex crosses from the Q side to the R side while dodging both;
+    closing it through unused fan arms gives the cycle, and p (reversed)
+    is the pendant.
     """
     if set(p.vertices) & set(pprime.vertices):
         raise PreconditionViolated("bypass path touches the pendant arm")
-    return crossing_assembly(g, tf, ApexFan(p, (), "kept"), pprime)
+    return assemble(g, tf, ApexFan(p, (), "kept"), pprime)[1]
 
 
 def claim2_assembly(
@@ -566,10 +582,16 @@ def assemble(g: Graph, tf: TerminalFan, af: ApexFan, l: Path) -> tuple[str, Kite
     Returns the assembly path taken and its kite: claim1 when l misses
     p, else crossing, claim2, claim3 or flower, the first that applies.
     Each stage builds from the fans, l and the pieces before it, with no
-    search; one that cannot proceed raises a StageFailure.
+    search; one that cannot proceed raises a StageFailure.  An apex fan
+    with no landings is one cut down to p; find_kite and claim1_assembly
+    pass one for an l they have found clear of p, so l is not tested
+    again, and claim 1 is the only case run on it.
     """
-    if not (set(l.vertices) & set(af.p.vertices)):
-        return "claim1", claim1_assembly(g, tf, af.p, l)
+    if not af.landings or set(l.vertices).isdisjoint(af.p.vertices):
+        kite = crossing_assembly(g, tf, ApexFan(af.p, (), "kept"), l)
+        if kite is None:  # with no landings, only an l that meets p has no stretch
+            raise PreconditionViolated("linkage path meets the apex arm, which has no landings")
+        return "claim1", kite
     kite = crossing_assembly(g, tf, af, l)
     if kite is not None:
         return "crossing", kite
@@ -590,10 +612,14 @@ def _pipeline(
     tf = terminal_fan(g, roots)
     if tf is None:
         raise NoTerminalFan("no 7-fan from x2 splitting 3/3/1 over x1, x3, x4")
-    af = apex_fan(g, tf)
+    arms, p = _apex_arms(g, tf)
     link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4, options.budget)
     if link is None:
         raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
+    if set(link.l.vertices).isdisjoint(p.vertices):
+        af = ApexFan(p, (), "kept")  # claim 1 reads p alone
+    else:
+        af = ApexFan(p, *_apex_landings(tf, arms))
     path, kite = assemble(g, tf, af, link.l)
     # The crossing assembly closes a claim 1 cycle, and stages name claims.
     return ("claim1" if path == "crossing" else path), kite

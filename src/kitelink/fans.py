@@ -133,9 +133,13 @@ def extend_fan(
     The base is routed first and augmented from; an augmenting path
     never lowers the flow into the sink, so every base endpoint keeps
     its arm, and augmenting from any flow reaches the maximum, so
-    pinning loses nothing.  apex_fan, its main caller, takes 0.05-0.06 ms
-    per call (mean over 300 root choices, best of 7) on random
-    7-connected 40-vertex graphs on a 2-core Xeon.
+    pinning loses nothing.  Its flow, _grow_fan, also grows apex_fan's
+    fan, unchecked and unsorted.  On random 7-connected 40-vertex graphs
+    apex_fan takes 0.035-0.04 ms per call, and its flow and arm p, all
+    that find_kite builds when its linkage path misses p, 0.025-0.035 ms
+    (mean over 300 root choices, best of 7, on a 2-core Xeon at the
+    faster of its two speeds; 0.065-0.075 and 0.04-0.045 ms at the
+    slower).
     """
     s = frozenset(s)
     _validate_fan_args(g, x, s, k)
@@ -144,22 +148,35 @@ def extend_fan(
         raise InvalidBaseFan(problem)
     if base.k > k:
         raise InvalidBaseFan(f"base already has {base.k} > {k} arms")
+    arms = _grow_fan(g, x, s, [arm.vertices for arm in base.arms], k)
+    if arms is None:
+        return None
+    return Fan(x, tuple(sorted(map(Path, arms), key=lambda p: (p.last, p.vertices))))
+
+
+def _grow_fan(
+    g: Graph, x: int, s: frozenset[int] | set[int], base: list[tuple[int, ...]], k: int
+) -> list[list[int]] | None:
+    """extend_fan's flow with nothing checked and nothing sorted: the
+    arms of a k-fan from x into s, as vertex lists, grown from base, the
+    vertex tuples of a fan from x into s with at most k arms.  None when
+    no k-fan into s exists.  For callers whose base a flow built."""
     net = g.split_network()
     cap = net.residual(dict.fromkeys(s, 1))
-    for arm in base.arms:
-        net.route(cap, arm.vertices)
-    if net.max_flow(cap, x, s, k - base.k) < k - base.k:
+    for arm in base:
+        net.route(cap, arm)
+    if net.max_flow(cap, x, s, k - len(base)) < k - len(base):
         return None
-    arms = sorted((Path(a) for a in net.arms(cap, x)), key=lambda p: (p.last, p.vertices))
-    return Fan(x, tuple(arms))
+    return net.arms(cap, x)
 
 
 def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     """Seven internally disjoint paths from x2: three to x1, three to x3,
     one to x4.  None when the graph cannot host them.  On random
-    7-connected 40-vertex graphs it takes 0.03-0.04 ms per call (mean
-    over 300 root choices, best of 7) on a 2-core Xeon, the graph's
-    split network already built."""
+    7-connected 40-vertex graphs it takes about 0.03 ms per call (mean
+    over 300 root choices, best of 7) on a 2-core Xeon at the faster of
+    its two speeds, 0.05-0.06 ms at the slower, the graph's split
+    network already built."""
     if not roots.in_range(g.n):
         raise PreconditionViolated("roots outside graph")
     x1, x2, x3, x4 = roots.as_tuple()

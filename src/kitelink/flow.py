@@ -239,7 +239,9 @@ class SplitNetwork:
                 arm.append(v)
                 if cap[sink_arcs[v] ^ 1]:
                     break
-                aid = next(a for a in out_arcs[v] if not cap[a])
+                for aid in out_arcs[v]:  # the arc the unit leaves v by
+                    if not cap[aid]:
+                        break
             arms.append(arm)
         return arms
 

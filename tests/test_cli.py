@@ -322,6 +322,17 @@ def test_kite_linked_decides_families(tmp_path, capsys):
     assert obj["linked"] is False and len(obj["witness"]) == 4
 
 
+def test_kite_linked_budget_bounds_the_whole_scan(tmp_path, capsys):
+    # Each of K7's root choices needs at most 11 expansions, the scan 4,368.
+    k7 = _write_graph(tmp_path, gen_complete_minus_matching(7, 0))
+    code, out, err = _run(capsys, "kite", "linked", k7, "--budget", "100")
+    assert code == 3
+    assert out == "" and err.startswith("budget:")
+    code, out, _ = _run(capsys, "kite", "linked", k7, "--budget", "4368")
+    assert code == 0
+    assert json.loads(out) == {"linked": True, "witness": None}
+
+
 def test_gen_text_roundtrip(capsys):
     code, out, _ = _run(capsys, "gen", "kminusmatching", "9", "2")
     assert code == 0

@@ -50,6 +50,7 @@ from kitelink.fans import (
 )
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding
+from kitelink.linkage import two_linkage
 from kitelink.oracle import find_kite_exhaustive
 from kitelink.paths import Path
 from kitelink.structures import Flower, RootQuadruple, Verdict, verify_flower, verify_kite
@@ -694,6 +695,83 @@ def test_find_kite_assemblies_match_golden_digest(monkeypatch):
     assert digest.hexdigest() == (
         "2580cdbea35bb223031891e61ff438c56d01c7f0aeb907958816c30d6f641df8"
     )
+
+
+def _split_route_corpus():
+    """100 seeded root choices on each of gen_random_kconnected(40, 7, s),
+    s = 0-2, then 20 on each of C_n(1,2,3,4), C_n(1,2,4,7) and
+    C_n(1,3,5,7) for n = 20-40."""
+    for s in range(3):
+        g = gen_random_kconnected(40, 7, s)
+        rng = random.Random(4000 + s)
+        for _ in range(100):
+            yield g, RootQuadruple(*rng.sample(range(40), 4))
+    for n in range(20, 41):
+        for offsets in ((1, 2, 3, 4), (1, 2, 4, 7), (1, 3, 5, 7)):
+            g = circulant(n, offsets)
+            rng = random.Random(4100 + n)
+            for _ in range(20):
+                yield g, RootQuadruple(*rng.sample(range(n), 4))
+
+
+def _public_route(g, roots):
+    """The assembly path and kite of the public stage functions, run in
+    _pipeline's order with the whole apex fan built."""
+    tf = terminal_fan(g, roots)
+    af = apex_fan(g, tf)
+    link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4)
+    return assemble(g, tf, af, link.l)
+
+
+def test_find_kite_matches_the_public_stage_route():
+    # find_kite builds the apex fan's landings only when its linkage
+    # path meets p; the answers are those of the whole apex fan.
+    opts = FindKiteOptions(try_direct=False)
+    taken = Counter()
+    for g, roots in _split_route_corpus():
+        res = find_kite(g, roots, opts)
+        path, kite = _public_route(g, roots)
+        assert res.diagnostics == ()
+        assert (res.stage, res.kite) == ("claim1" if path == "crossing" else path, kite)
+        taken[path] += 1
+    assert sum(taken.values()) == 1560
+    assert taken["claim1"] > 1000 and taken["claim1"] < sum(taken.values())
+
+
+class _LandingsBuilt(Exception):
+    pass
+
+
+def test_find_kite_builds_landings_only_when_l_meets_p(monkeypatch):
+    claim1 = meets = None
+    for g, roots in _split_route_corpus():
+        path, kite = _public_route(g, roots)
+        if path == "claim1" and claim1 is None:
+            claim1 = g, roots, kite
+        if path != "claim1" and meets is None:
+            meets = g, roots
+        if claim1 and meets:
+            break
+
+    def unreachable(*args):
+        raise _LandingsBuilt()
+
+    monkeypatch.setattr(constructor, "_apex_landings", unreachable)
+    opts = FindKiteOptions(try_direct=False, allow_fallback=False)
+    g, roots, kite = claim1
+    res = find_kite(g, roots, opts)
+    assert (res.stage, res.kite) == ("claim1", kite)
+    g, roots = meets
+    with pytest.raises(_LandingsBuilt):
+        find_kite(g, roots, opts)
+
+
+def test_assemble_refuses_a_landless_apex_fan_when_l_meets_p():
+    g, tf, af = _two_sided_fixture()
+    l = Path((0, 6, 10, 7, 2))
+    assert set(l.vertices) & set(af.p.vertices)
+    with pytest.raises(PreconditionViolated):
+        assemble(g, tf, ApexFan(af.p, (), "kept"), l)
 
 
 # ------------------------------------------- assemble on given linkage paths

@@ -120,6 +120,18 @@ def test_is_kite_linked_families():
     assert is_kite_linked(gen_complete_minus_matching(6, 3)).linked
 
 
+def test_is_kite_linked_spends_one_budget_on_the_whole_scan():
+    # K7's 420 root choices take at most 11 expansions each and 4,368 in
+    # all; the budget bounds the sum, not each root choice.
+    k7 = gen_complete_minus_matching(7, 0)
+    for x1, x3, x2, x4 in itertools.permutations(range(7), 4):
+        if x1 < x3:
+            assert find_kite_exhaustive(k7, RootQuadruple(x1, x2, x3, x4), SearchBudget(11))
+    with pytest.raises(BudgetExceeded):
+        is_kite_linked(k7, SearchBudget(4367))
+    assert is_kite_linked(k7, SearchBudget(4368)).linked
+
+
 def test_is_kite_linked_verdict_is_truthy():
     assert bool(is_kite_linked(gen_complete_minus_matching(5, 0)))
     assert not bool(is_kite_linked(Graph(4, [(0, 1), (1, 2), (2, 3)])))
