@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes are uniform across subcommands: 0 found/valid/true, 1 not
-found/invalid/false, 2 precondition or format error, 3 budget exhausted.
+found/invalid/false, 2 precondition or format error, 3 budget exhausted,
+141 when the reader of standard output closes it early (as in
+`kitelink trials ... | head -1`), with nothing on standard error; 141 is
+128 + SIGPIPE, what coreutils tools in the same pipe exit with.
 Graph files are the plain text format from graphs.parse_graph, or JSON
 when the file starts with '{'; '-' reads standard input.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -310,6 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     except KitelinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Nothing more can reach the reader, and the interpreter's last
+        # flush of stdout would fail again, so stdout goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

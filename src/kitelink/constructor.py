@@ -19,6 +19,7 @@ recorded as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -158,11 +159,12 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     return ApexFan(p, *_apex_landings(tf, arms))
 
 
-def _apex_arms(g: Graph, tf: TerminalFan) -> tuple[list[list[int]], Path]:
+def _apex_arms(g: Graph, tf: TerminalFan) -> tuple[list[Sequence[int]], Path]:
     """The seven arms of the apex fan as vertex lists, and p."""
     # The base arm is the terminal fan's own x4 arm, which its flow made
     # a valid one-arm fan into V(Q) + V(R), so it is not checked again.
-    arms = _grow_fan(g, tf.x4, _vertices(tf.q + tf.r), [tf.s.vertices[::-1]], 7)
+    targets = vertex_mask(v for arm in tf.q + tf.r for v in arm.vertices)
+    arms = _grow_fan(g, tf.x4, targets, [tf.s.vertices[::-1]], 7)
     if arms is None:
         raise NoSevenFan(f"no 7-fan from x4={tf.x4} into the terminal fan")
     p = next((arm for arm in arms if arm[-1] == tf.hub), None)
@@ -172,7 +174,7 @@ def _apex_arms(g: Graph, tf: TerminalFan) -> tuple[list[list[int]], Path]:
 
 
 def _apex_landings(
-    tf: TerminalFan, arms: list[list[int]]
+    tf: TerminalFan, arms: list[Sequence[int]]
 ) -> tuple[tuple[tuple[Path, int], ...], str]:
     """The apex fan's landings in ApexFan's order, and its side."""
     qverts = _vertices(tf.q)
@@ -185,7 +187,7 @@ def _apex_landings(
         tf_o = tf.swap_sides()
         qside = [arm for arm in others if arm[-1] not in qverts]
 
-    def landing_key(arm: list[int]):
+    def landing_key(arm: Sequence[int]):
         # By Q-path, then nearest x2 first; x1 sorts last.  Landings are
         # distinct, so no two keys tie.
         w = arm[-1]

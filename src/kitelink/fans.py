@@ -10,6 +10,7 @@ once and every query shares, so results are exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import GraphTooSmall, InvalidBaseFan, InvariantViolation, PreconditionViolated
 from .flow import SplitNetwork
@@ -134,11 +135,12 @@ def extend_fan(
     never lowers the flow into the sink, so every base endpoint keeps
     its arm, and augmenting from any flow reaches the maximum, so
     pinning loses nothing.  Its flow, _grow_fan, also grows apex_fan's
-    fan, unchecked and unsorted.  On random 7-connected 40-vertex graphs
-    apex_fan takes 0.035-0.04 ms per call, and its flow and arm p, all
-    that find_kite builds when its linkage path misses p, 0.025-0.035 ms
+    fan, unchecked and unsorted; where the short arms fill the fan it
+    builds no residual.  On random 7-connected 40-vertex graphs apex_fan
+    takes 0.02-0.022 ms per call, and its flow and arm p, all that
+    find_kite builds when its linkage path misses p, 0.0095-0.012 ms
     (mean over 300 root choices, best of 7, on a 2-core Xeon at the
-    faster of its two speeds; 0.065-0.075 and 0.04-0.045 ms at the
+    faster of its two speeds; 0.022-0.04 and 0.015-0.02 ms at the
     slower).
     """
     s = frozenset(s)
@@ -148,46 +150,46 @@ def extend_fan(
         raise InvalidBaseFan(problem)
     if base.k > k:
         raise InvalidBaseFan(f"base already has {base.k} > {k} arms")
-    arms = _grow_fan(g, x, s, [arm.vertices for arm in base.arms], k)
+    arms = _grow_fan(g, x, vertex_mask(s), [arm.vertices for arm in base.arms], k)
     if arms is None:
         return None
     return Fan(x, tuple(sorted(map(Path, arms), key=lambda p: (p.last, p.vertices))))
 
 
 def _grow_fan(
-    g: Graph, x: int, s: frozenset[int] | set[int], base: list[tuple[int, ...]], k: int
-) -> list[list[int]] | None:
+    g: Graph, x: int, targets: int, base: list[tuple[int, ...]], k: int
+) -> list[Sequence[int]] | None:
     """extend_fan's flow with nothing checked and nothing sorted: the
-    arms of a k-fan from x into s, as vertex lists, grown from base, the
-    vertex tuples of a fan from x into s with at most k arms.  None when
-    no k-fan into s exists.  For callers whose base a flow built."""
+    arms of a k-fan from x into the targets, a bitmask, as vertex lists,
+    grown from base, the vertex tuples of a fan from x into them with at
+    most k arms.  None when no k-fan into the targets exists.  For
+    callers whose base a flow built."""
     net = g.split_network()
-    cap = net.residual(dict.fromkeys(s, 1))
-    for arm in base:
-        net.route(cap, arm)
-    if net.max_flow(cap, x, s, k - len(base)) < k - len(base):
+    sent, arms, cap = net.max_flow(x, targets, {}, k - len(base), base)
+    if sent < k - len(base):
         return None
-    return net.arms(cap, x)
+    return net.arms(cap, x) if arms is None else arms
 
 
 def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     """Seven internally disjoint paths from x2: three to x1, three to x3,
     one to x4.  None when the graph cannot host them.  On random
-    7-connected 40-vertex graphs it takes about 0.03 ms per call (mean
-    over 300 root choices, best of 7) on a 2-core Xeon at the faster of
-    its two speeds, 0.05-0.06 ms at the slower, the graph's split
-    network already built."""
+    7-connected 40-vertex graphs the short arms fill nearly every such
+    fan, and it takes about 0.018 ms per call (mean over 300 root
+    choices, best of 7) on a 2-core Xeon at the faster of its two
+    speeds, 0.027-0.034 ms at the slower, the graph's split network
+    already built."""
     if not roots.in_range(g.n):
         raise PreconditionViolated("roots outside graph")
     x1, x2, x3, x4 = roots.as_tuple()
     net = g.split_network()
-    cap = net.residual({x1: 3, x3: 3, x4: 1})
-    if net.max_flow(cap, x2, (x1, x3, x4), 7) < 7:
+    sent, arms, cap = net.max_flow(x2, 1 << x1 | 1 << x3 | 1 << x4, {x1: 3, x3: 3}, 7)
+    if sent < 7:
         return None
     # A flow of 7 into absorbing arcs of capacity 3, 3 and 1 fills each,
-    # and net.arms lists the arms by ascending second vertex, which is
-    # the order of their vertex tuples.
-    paths = [Path(a) for a in net.arms(cap, x2)]
+    # and its arms come by ascending second vertex, which is the order
+    # of their vertex tuples.
+    paths = [Path(a) for a in (net.arms(cap, x2) if arms is None else arms)]
     q = tuple(p for p in paths if p.last == x1)
     r = tuple(p for p in paths if p.last == x3)
     s = next(p for p in paths if p.last == x4)
@@ -243,10 +245,11 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
     has k neighbours before it; a pair or a vertex like that runs no
     flow.  The check stops at the first flow that falls short and reads
     no cut from it; vertex_connectivity does, to descend to kappa.  On a
-    2-core Xeon, with the split network built, the check takes about
-    0.1 ms on a random 7-connected 14-vertex host, and on
-    gen_random_kconnected(80, 7, 1) at k = 32 it runs 158 flows in
-    0.1-0.2 s.
+    2-core Xeon, with the split network built, the check takes
+    0.045-0.075 ms on a random 7-connected 14-vertex host (mean over 50
+    hosts, best of 7), and on gen_random_kconnected(80, 7, 1) at k = 32
+    it runs 158 flows in 0.12-0.19 s; the short arms fill 28 of them,
+    which build no residual.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -271,15 +274,14 @@ def _failing_query(g: Graph, k: int) -> tuple[SplitNetwork, list[int], int, int]
         for s in order[:i]:
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            cap = net.residual({t: k})
-            if (value := net.max_flow(cap, s, (t,), k)) < k:
+            value, _, cap = net.max_flow(s, 1 << t, {t: k}, k)
+            if value < k:
                 return net, cap, s, value
     before = vertex_mask(order[:k])
-    for i, j in enumerate(order[k:], k):
+    for j in order[k:]:
         if (g.adjacency_mask(j) & before).bit_count() < k:
-            earlier = order[:i]
-            cap = net.residual(dict.fromkeys(earlier, 1))
-            if (value := net.max_flow(cap, j, earlier, k)) < k:
+            value, _, cap = net.max_flow(j, before, {}, k)
+            if value < k:
                 return net, cap, j, value
         before |= 1 << j
     return None

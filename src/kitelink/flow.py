@@ -4,38 +4,39 @@ Every graph vertex v is split into an entry node 2v and an exit node
 2v+1 joined by a capacity-1 arc, so a unit of flow through v claims the
 whole vertex.  Every edge gets an arc in each direction, and every vertex
 an absorbing arc from its entry node into a super-sink.  The network is
-never written after it is built: each query copies the base capacities
-into a residual list of its own, closes the split arcs of its target
-vertices and opens their absorbing arcs, so flow leaves the source's exit
-node and each path stops at the first target it meets.  A graph builds
-its network once (`Graph.split_network`) and every fan and connectivity
-query on it, from any thread, shares that network.  Augmenting paths are
-found by breadth-first search scanning arcs in insertion order, so
-identical inputs always produce identical flows.
+never written after it is built.  A query that must augment copies the
+base capacities into a residual list of its own, closes the split arcs
+of its target vertices and opens their absorbing arcs, so flow leaves
+the source's exit node and each path stops at the first target it meets.
+A graph builds its network once (`Graph.split_network`) and every fan
+and connectivity query on it, from any thread, shares that network.
+Augmenting paths are found by breadth-first search scanning arcs in
+insertion order, so identical inputs always produce identical flows.
 
 Most arms of a fan on a dense graph are one edge long or run through one
-common neighbour, so max_flow routes those first, straight from the
-adjacency bitmasks, and augments only for the rest.  It routes exactly
-the paths, in the same order, that the search would find first, so the
-flow is the one augmentation alone gives.  The search starts at x's exit
-node, whose arcs run by ascending head, and the sink is entered only
-from entry nodes, so it is met first at depth 2 or 4:
+common neighbour, so max_flow finds those first, as vertex lists read
+straight from the adjacency bitmasks, and augments only for the rest.
+A query those short arms fill builds no residual at all; only one they
+leave short builds its residual, routes them into it and augments.  They
+are exactly the paths, in the same order, that the search would find
+first, so the flow is the one augmentation alone gives.  The search
+starts at x's exit node, whose arcs run by ascending head, and the sink
+is entered only from entry nodes, so it is met first at depth 2 or 4:
 
 - Depth 2 is exit(x) -> entry(t) -> sink.  The entry nodes at depth 1
   belong to the neighbours x reaches over unused edges and are scanned
   in ascending order, so the first path ends at the lowest such
-  neighbour that is a target with room.  Phase 1 routes those one-edge
+  neighbour that is a target with room.  Phase 1 takes those one-edge
   arms, ascending, while each target has room.
 - Once no such path is left, depth 4 is x -> w -> t.  When no neighbour
   w that x reaches over an unused edge carries flow, the depth-2 nodes
   are the exit nodes of the free neighbours, by ascending w, so the
   first path takes the lowest free w with a target that has room, and
   the lowest such target of w.  Phase 2 sweeps the free w once,
-  ascending.  A neighbour that carries flow (it lies on an arm past
-  that arm's first step, which a base routed before the query can
-  cause) opens residual reverse arcs that give rerouting paths just as
-  short, which the search mixes in from that neighbour on, so the
-  sweep stops at the first such neighbour.
+  ascending.  A neighbour that carries flow (it lies on a base arm past
+  that arm's first step) opens residual reverse arcs that give
+  rerouting paths just as short, which the search mixes in from that
+  neighbour on, so the sweep stops at the first such neighbour.
 
 Augmenting from the flow so built reaches the maximum, as from any
 feasible flow, so a query that falls short still proves no more arms
@@ -44,6 +45,8 @@ exist.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph
@@ -61,10 +64,11 @@ class SplitNetwork:
     """The vertex-split network of a graph, shared by every query on it.
 
     Arc a and its reverse a ^ 1 sit side by side.  head, adj, the arc
-    lists and base are read-only once built; a query keeps its residual
-    capacities in its own list (residual), so interleaved or concurrent
-    queries on one network cannot disturb each other, and a graph pays
-    for building it once, not once per fan query.
+    lists and base are read-only once built; a query that its short arms
+    do not fill keeps its residual capacities in its own list
+    (residual), and one they fill needs none, so interleaved or
+    concurrent queries on one network cannot disturb each other, and a
+    graph pays for building it once, not once per fan query.
 
     The network is built in one pass: the arc numbering is fixed by n
     and the sorted edges, so head and base are filled by strided slices
@@ -165,65 +169,110 @@ class SplitNetwork:
             v = self.head[aid ^ 1]
         return True
 
-    def max_flow(self, cap: list[int], x: int, targets: Iterable[int], limit: int) -> int:
-        """Send up to limit units from vertex x into the query's targets:
-        the short arms first, then augmenting paths while any is left."""
-        sent = self.short_arms(cap, x, targets, limit)
+    def max_flow(
+        self,
+        x: int,
+        targets: int,
+        multi: dict[int, int],
+        limit: int,
+        base: Sequence[Sequence[int]] = (),
+    ) -> tuple[int, list[Sequence[int]] | None, list[int] | None]:
+        """Send up to limit units from vertex x into the targets beyond
+        the base arms: the short arms first, then augmenting paths while
+        any is left.
+
+        targets is a bitmask of target vertices; each absorbs one path,
+        or multi[t] paths where multi lists it.  base holds the arms from
+        x already in the flow as vertex lists, a fan into the targets.
+        Returns (sent, arms, cap).  When the short arms fill the query,
+        arms are its flow's arms, base included, by ascending second
+        vertex as arms() lists them, and cap is None: no residual is
+        built.  Otherwise arms is None and cap is the residual the query
+        augmented in, holding the base and the same short arms, for
+        arms() and min_cut().
+        """
+        short = self._short_arms(x, targets, multi, limit, base)
+        if len(short) == limit:
+            return limit, sorted([*base, *short], key=_second), None
+        room = dict.fromkeys(_bits(targets), 1)
+        room.update(multi)
+        cap = self.residual(room)
+        self.route(cap, *base, *short)
+        sent = len(short)
         while sent < limit and self.augment(cap, exit_(x)):
             sent += 1
-        return sent
+        return sent, None, cap
 
-    def short_arms(self, cap: list[int], x: int, targets: Iterable[int], limit: int) -> int:
-        """Route up to limit arms of one and two edges from x, exactly the
-        paths augment would find first and in its order (module
-        docstring); returns how many were routed."""
-        head, masks = self.head, self.masks
-        split_arcs, sink_arcs = self.split_arcs, self.sink_arcs
-        room = 0  # targets that can absorb another unit
-        for t in targets:
-            if cap[sink_arcs[t]] > 0:
-                room |= 1 << t
-        sent = 0
-        near = masks[x] & room
-        while near and sent < limit:
+    def _short_arms(
+        self, x: int, targets: int, multi: dict[int, int], limit: int, base: Sequence[Sequence[int]]
+    ) -> list[list[int]]:
+        """Up to limit arms of one and two edges from x beyond base,
+        exactly the paths augment would find first and in its order
+        (module docstring), read from the adjacency bitmasks alone."""
+        masks = self.masks
+        left = dict(multi)  # more room than one unit; every other target has one
+        room = targets  # targets that can absorb another unit
+        taken = 0  # neighbours of x whose edge from x an arm uses
+        carrying = 0  # base vertices past their arm's first step
+        for arm in base:
+            taken |= 1 << arm[1]
+            for v in arm[2:]:
+                carrying |= 1 << v
+            t = arm[-1]
+            if left.get(t, 1) > 1:
+                left[t] -= 1
+            else:
+                room &= ~(1 << t)
+        arms: list[list[int]] = []
+        near = masks[x] & room & ~taken
+        while near and len(arms) < limit:
             low = near & -near
             near ^= low
             t = low.bit_length() - 1
-            aid = self.arc(x, t)
-            if cap[aid]:
-                _push(cap, (aid, sink_arcs[t]))
-                sent += 1
-                if not cap[sink_arcs[t]]:
-                    room ^= low
-        for aid in self.out_arcs[x]:
-            if sent == limit or not room:
-                break
-            if not cap[aid]:
-                continue
-            w = head[aid] >> 1
-            if cap[split_arcs[w] ^ 1] or cap[sink_arcs[w] ^ 1]:
+            arms.append([x, t])
+            taken |= low
+            if left.get(t, 1) > 1:
+                left[t] -= 1
+            else:
+                room ^= low
+        free = masks[x] & ~taken
+        while free and room and len(arms) < limit:
+            low = free & -free
+            free ^= low
+            if low & carrying:
                 break  # w carries flow: rerouting paths start here
+            # w is no target: phase 1 took the edge to every target with
+            # room, and one without room ends a base arm, so the edge to
+            # it is taken or it carries flow.
+            w = low.bit_length() - 1
             far = masks[w] & room
-            if far and cap[split_arcs[w]]:
-                low = far & -far
-                t = low.bit_length() - 1
-                _push(cap, (aid, split_arcs[w], self.arc(w, t), sink_arcs[t]))
-                sent += 1
-                if not cap[sink_arcs[t]]:
-                    room ^= low
-        return sent
+            if far:
+                end = far & -far
+                t = end.bit_length() - 1
+                arms.append([x, w, t])
+                if left.get(t, 1) > 1:
+                    left[t] -= 1
+                else:
+                    room ^= end
+        return arms
 
-    def arc(self, a: int, b: int) -> int:
-        """The arc from exit(a) to entry(b); a-b must be an edge."""
-        mask = self.masks[a]
-        return self.out_arcs[a][(mask & ((1 << b) - 1)).bit_count()]
-
-    def route(self, cap: list[int], path: Sequence[int]) -> None:
-        """Send one unit along a graph path that ends at a target."""
-        arcs = [self.sink_arcs[path[-1]]]
-        arcs += [self.split_arcs[v] for v in path[1:-1]]
-        arcs += [self.arc(a, b) for a, b in zip(path, path[1:])]
-        _push(cap, arcs)
+    def route(self, cap: list[int], *paths: Sequence[int]) -> None:
+        """Send one unit along each graph path, each ending at a target:
+        over each edge's arc, through each interior vertex's split arc
+        and into the sink from the last vertex."""
+        masks, out_arcs = self.masks, self.out_arcs
+        split_arcs, sink_arcs = self.split_arcs, self.sink_arcs
+        for path in paths:
+            a, last = path[0], path[-1]
+            for b in path[1:]:
+                # exit(a) -> entry(b): out-arcs run by ascending head
+                aid = out_arcs[a][(masks[a] & ((1 << b) - 1)).bit_count()]
+                cap[aid] -= 1
+                cap[aid ^ 1] += 1
+                aid = sink_arcs[b] if b == last else split_arcs[b]
+                cap[aid] -= 1
+                cap[aid ^ 1] += 1
+                a = b
 
     def arms(self, cap: list[int], x: int) -> list[list[int]]:
         """Decompose the flow out of x into vertex lists, lowest next
@@ -266,8 +315,10 @@ class SplitNetwork:
         return frozenset(cut)
 
 
-def _push(cap: list[int], arcs: Iterable[int]) -> None:
-    """One unit along each arc: its residual falls, its reverse's rises."""
-    for aid in arcs:
-        cap[aid] -= 1
-        cap[aid ^ 1] += 1
+_second = itemgetter(1)
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of mask, ascending, read in C off its binary digits."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT))

@@ -131,12 +131,12 @@ def index_order_connectivity_at_least(g: Graph, k: int) -> bool:
         for s in range(t):
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            if net.max_flow(net.residual({t: k}), s, (t,), k) < k:
+            if net.max_flow(s, 1 << t, {t: k}, k)[0] < k:
                 return False
     for j in range(k, g.n):
         if bisect_left(g.neighbors(j), j) >= k:
             continue
-        if net.max_flow(net.residual(dict.fromkeys(range(j), 1)), j, range(j), k) < k:
+        if net.max_flow(j, (1 << j) - 1, {}, k)[0] < k:
             return False
     return True
 

@@ -1,9 +1,14 @@
-"""Tests for the command-line surface, run in-process."""
+"""Tests for the command-line surface, run in-process except where a
+real pipe is needed."""
 
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +434,25 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 6
     assert all(line.startswith("ok") for line in lines)
+
+
+def test_closed_pipe_stops_quietly_with_exit_141():
+    # `kitelink trials ... | head -1`: the reader goes after one line.
+    # 400 trials write about 93 KB, more than a pipe holds, so the run
+    # is still writing when the pipe closes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["trials", "--n", "12", "--trials", "400", "--seed", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kitelink.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert json.loads(first)["trial"] == 0
+    assert err == b""

@@ -17,7 +17,7 @@ from bruteforce import (
     joined_rings,
     separates,
 )
-from kitelink.constructor import apex_fan
+from kitelink.constructor import _apex_arms, apex_fan
 from kitelink.errors import (
     GraphTooSmall,
     InvalidBaseFan,
@@ -567,3 +567,66 @@ def test_degree_order_runs_fewer_flows_on_a_dense_host(monkeypatch):
     flows.clear()
     assert has_connectivity_at_least(g, 32)
     assert (len(flows), index_order) == (158, 252)
+
+
+def _count_residuals(monkeypatch) -> list[tuple[bool, int]]:
+    # One entry per max_flow query: whether its short arms filled it (it
+    # returned no residual) and how many residuals it built.
+    queries: list[tuple[bool, int]] = []
+    built = [0]
+    residual, max_flow = SplitNetwork.residual, SplitNetwork.max_flow
+
+    def counted_residual(self, *args):
+        built[0] += 1
+        return residual(self, *args)
+
+    def counted_max_flow(self, *args):
+        before = built[0]
+        out = max_flow(self, *args)
+        queries.append((out[2] is None, built[0] - before))
+        return out
+
+    monkeypatch.setattr(SplitNetwork, "residual", counted_residual)
+    monkeypatch.setattr(SplitNetwork, "max_flow", counted_max_flow)
+    return queries
+
+
+def test_filled_fans_build_no_residual(monkeypatch):
+    # On dense random hosts the short arms fill every terminal fan and
+    # apex step sampled here, so none of these 360 queries copies the
+    # capacities.
+    hosts = [gen_random_kconnected(40, 7, s) for s in range(3)]
+    queries = _count_residuals(monkeypatch)
+    for s, g in enumerate(hosts):
+        for roots in _sampled_roots(40, 500 + s, 60):
+            _apex_arms(g, terminal_fan(g, roots))
+    assert len(queries) == 360
+    assert queries == [(True, 0)] * 360
+
+
+def test_even_check_builds_a_residual_only_for_queries_that_fall_back(monkeypatch):
+    g = gen_random_kconnected(80, 7, 1)
+    queries = _count_residuals(monkeypatch)
+    assert has_connectivity_at_least(g, 32)
+    assert all(built == (not filled) for filled, built in queries)
+    filled = sum(f for f, _ in queries)
+    assert (len(queries), filled, len(queries) - filled) == (158, 28, 130)
+
+
+def test_terminal_fan_matches_augmentation_alone_across_the_fill_point(monkeypatch):
+    # Roots of weight 3, 3 and 1 on random graphs from sparse to dense:
+    # the short arms fill some queries, and the rest augment from them,
+    # some to a full fan and some to none.
+    queries = _count_residuals(monkeypatch)
+    rng = random.Random(29)
+    cases = []  # (filled, found a fan) per root choice
+    for _ in range(300):
+        n = rng.randint(8, 22)
+        g = _random_graph(rng, n, rng.choice((0.35, 0.5, 0.65, 0.8)))
+        roots = RootQuadruple(*rng.sample(range(n), 4))
+        tf = terminal_fan(g, roots)
+        assert repr(tf) == repr(_reference_terminal_fan(g, roots))
+        cases.append((queries[-1][0], tf is not None))
+    fills = sum(filled for filled, _ in cases)
+    fans_after_augmenting = cases.count((False, True))
+    assert fills >= 50 and len(cases) - fills >= 50 and fans_after_augmenting >= 30

@@ -6,7 +6,7 @@ import random
 from bruteforce import _separates_fan, circulant, separates
 from kitelink.flow import SplitNetwork, entry, exit_
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
-from kitelink.graphs import Graph
+from kitelink.graphs import Graph, vertex_mask
 
 
 def _arcs_one_at_a_time(g: Graph) -> dict:
@@ -77,8 +77,7 @@ def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
             for t in range(n):
                 if t == s or g.has_edge(s, t):
                     continue
-                cap = net.residual({t: n})
-                value = net.max_flow(cap, s, (t,), n)
+                value, _, cap = net.max_flow(s, 1 << t, {t: n}, n)
                 cut = net.min_cut(cap, s)
                 assert len(cut) == value and s not in cut and t not in cut
                 assert _separates_fan(g, s, frozenset({t}), cut)
@@ -87,8 +86,7 @@ def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
             others = [v for v in range(n) if v != s]
             targets = frozenset(rng.sample(others, rng.randint(1, len(others))))
             limit = len(targets)
-            cap = net.residual(dict.fromkeys(targets, 1))
-            value = net.max_flow(cap, s, targets, limit)
+            value, _, cap = net.max_flow(s, vertex_mask(targets), {}, limit)
             if value < limit:
                 cut = net.min_cut(cap, s)
                 assert len(cut) == value and s not in cut
