@@ -2,9 +2,9 @@
 
 A k-fan from x into a set S is a family of k paths from x to k distinct
 vertices of S, pairwise sharing only x, each meeting S exactly in its own
-endpoint.  All operations here reduce to unit-capacity flow on the
-graph's vertex-split network (flow.SplitNetwork), which the graph builds
-once and every query shares, so results are exact and deterministic.
+endpoint.  All operations here reduce to unit-capacity flow of
+vertex-disjoint paths (flow.max_flow), each query holding its own flow
+on the graph's vertices, so results are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GraphTooSmall, InvalidBaseFan, InvariantViolation, PreconditionViolated
-from .flow import SplitNetwork
+from . import flow
 from .graphs import Graph, vertex_mask
 from .paths import Path
 from .structures import RootQuadruple
@@ -136,12 +136,11 @@ def extend_fan(
     its arm, and augmenting from any flow reaches the maximum, so
     pinning loses nothing.  Its flow, _grow_fan, also grows apex_fan's
     fan, unchecked and unsorted; where the short arms fill the fan it
-    builds no residual.  On random 7-connected 40-vertex graphs apex_fan
-    takes 0.02-0.022 ms per call, and its flow and arm p, all that
-    find_kite builds when its linkage path misses p, 0.0095-0.012 ms
-    (mean over 300 root choices, best of 7, on a 2-core Xeon at the
-    faster of its two speeds; 0.022-0.04 and 0.015-0.02 ms at the
-    slower).
+    builds no flow state.  On random 7-connected 40-vertex graphs
+    apex_fan takes 0.018-0.024 ms per call, and its flow and arm p, all
+    that find_kite builds when its linkage path misses p, 0.0086-0.0092
+    ms (mean over 300 root choices, best of 7, on a 2-core Xeon at the
+    faster of its two speeds, which are about 1.6x apart).
     """
     s = frozenset(s)
     _validate_fan_args(g, x, s, k)
@@ -164,32 +163,29 @@ def _grow_fan(
     grown from base, the vertex tuples of a fan from x into them with at
     most k arms.  None when no k-fan into the targets exists.  For
     callers whose base a flow built."""
-    net = g.split_network()
-    sent, arms, cap = net.max_flow(x, targets, {}, k - len(base), base)
+    sent, arms, state = flow.max_flow(g, x, targets, {}, k - len(base), base)
     if sent < k - len(base):
         return None
-    return net.arms(cap, x) if arms is None else arms
+    return state.arms() if arms is None else arms
 
 
 def terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     """Seven internally disjoint paths from x2: three to x1, three to x3,
     one to x4.  None when the graph cannot host them.  On random
     7-connected 40-vertex graphs the short arms fill nearly every such
-    fan, and it takes about 0.018 ms per call (mean over 300 root
+    fan, and it takes 0.0145-0.016 ms per call (mean over 300 root
     choices, best of 7) on a 2-core Xeon at the faster of its two
-    speeds, 0.027-0.034 ms at the slower, the graph's split network
-    already built."""
+    speeds, which are about 1.6x apart."""
     if not roots.in_range(g.n):
         raise PreconditionViolated("roots outside graph")
     x1, x2, x3, x4 = roots.as_tuple()
-    net = g.split_network()
-    sent, arms, cap = net.max_flow(x2, 1 << x1 | 1 << x3 | 1 << x4, {x1: 3, x3: 3}, 7)
+    sent, arms, state = flow.max_flow(g, x2, 1 << x1 | 1 << x3 | 1 << x4, {x1: 3, x3: 3}, 7)
     if sent < 7:
         return None
-    # A flow of 7 into absorbing arcs of capacity 3, 3 and 1 fills each,
+    # A flow of 7 into targets of room 3, 3 and 1 fills each,
     # and its arms come by ascending second vertex, which is the order
     # of their vertex tuples.
-    paths = [Path(a) for a in (net.arms(cap, x2) if arms is None else arms)]
+    paths = [Path(a) for a in (state.arms() if arms is None else arms)]
     q = tuple(p for p in paths if p.last == x1)
     r = tuple(p for p in paths if p.last == x3)
     s = next(p for p in paths if p.last == x4)
@@ -210,13 +206,12 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     drops to the flow's value, that cut becomes the witness, and the
     check runs again; it passes once k = kappa, after at most
     deg(v) - kappa + 1 checks.  Where kappa = deg(v) that is one check
-    and the witness is N(v).  All flows run on the graph's SplitNetwork.
-    On a 2-core Xeon, the split network built, the circulant
-    C80(1,2,3,4) takes about 0.02 s and gen_random_kconnected(80, 7, 1),
-    of connectivity 32 = deg(v), 0.1-0.2 s.  Two C_h(1,2,3,4) rings
-    joined by three edges (kappa = 3, deg(v) = 8) take one descent step:
-    0.011 s at n = 500, 0.052 s at n = 2,000 and 0.11 s at n = 4,000.
-    Complete graphs get k = n - 1 and no cut.
+    and the witness is N(v).  On a 2-core Xeon (best of 5) the circulant
+    C80(1,2,3,4) takes about 0.007 s and gen_random_kconnected(80, 7, 1),
+    of connectivity 32 = deg(v), 0.038 s.  Two C_h(1,2,3,4) rings joined
+    by three edges (kappa = 3, deg(v) = 8) take one descent step: 0.006 s
+    at n = 500, 0.025-0.027 s at n = 2,000 and 0.052-0.062 s at n =
+    4,000.  Complete graphs get k = n - 1 and no cut.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -226,8 +221,8 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     # Built through a set, as min_cut builds its cuts, so N(v) prints alike.
     k, cut = g.degree(v), frozenset(set(g.neighbors(v)))
     while (failed := _failing_query(g, k)) is not None:
-        net, cap, source, k = failed
-        cut = net.min_cut(cap, source)
+        state, k = failed
+        cut = state.min_cut()
     return CutCertificate(k, cut)
 
 
@@ -238,18 +233,18 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
     k-connected exactly when every non-adjacent pair among the first k
     vertices has k disjoint paths and every later vertex j has a k-fan
     into the vertices before it.  That is at most C(k, 2) + n - k flows
-    of at most k augmentations each, all on the graph's SplitNetwork.
+    of at most k augmentations each.
     The order here is by descending degree, ties by index, so a regular
     graph keeps index order and runs the same flows.  The first k
     vertices then often share k neighbours, and a later vertex often
     has k neighbours before it; a pair or a vertex like that runs no
     flow.  The check stops at the first flow that falls short and reads
     no cut from it; vertex_connectivity does, to descend to kappa.  On a
-    2-core Xeon, with the split network built, the check takes
-    0.045-0.075 ms on a random 7-connected 14-vertex host (mean over 50
-    hosts, best of 7), and on gen_random_kconnected(80, 7, 1) at k = 32
-    it runs 158 flows in 0.12-0.19 s; the short arms fill 28 of them,
-    which build no residual.
+    2-core Xeon the check takes 0.03-0.05 ms on a random 7-connected
+    14-vertex host (mean over 50 hosts, best of 7), and on
+    gen_random_kconnected(80, 7, 1) at k = 32 it runs 158 flows in
+    0.037-0.038 s (best of 5); the short arms fill 28 of them, which
+    build no flow state.
     """
     if g.n < 2:
         raise GraphTooSmall("connectivity needs at least two vertices")
@@ -260,28 +255,27 @@ def has_connectivity_at_least(g: Graph, k: int) -> bool:
     return _failing_query(g, k) is None
 
 
-def _failing_query(g: Graph, k: int) -> tuple[SplitNetwork, list[int], int, int] | None:
+def _failing_query(g: Graph, k: int) -> tuple[flow.Flow, int] | None:
     """Even's check at k <= min degree: None when it passes, else the
-    first flow that fell short as (net, cap, source vertex, value)."""
+    first flow that fell short and its value."""
     # Every fan below has at least k targets.  Some maximum path system
     # holds every one-edge fan arm and every two-edge path through a
     # common neighbour, so a pair or a vertex with k such paths needs no
     # flow; in a complete graph that is every pair and every vertex.
-    net = g.split_network()
     # Descending degree; sorted is stable, so ties keep index order.
     order = sorted(g.vertices(), key=g.degree, reverse=True)
     for i, t in enumerate(order[:k]):
         for s in order[:i]:
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            value, _, cap = net.max_flow(s, 1 << t, {t: k}, k)
+            value, _, state = flow.max_flow(g, s, 1 << t, {t: k}, k)
             if value < k:
-                return net, cap, s, value
+                return state, value
     before = vertex_mask(order[:k])
     for j in order[k:]:
         if (g.adjacency_mask(j) & before).bit_count() < k:
-            value, _, cap = net.max_flow(j, before, {}, k)
+            value, _, state = flow.max_flow(g, j, before, {}, k)
             if value < k:
-                return net, cap, j, value
+                return state, value
         before |= 1 << j
     return None

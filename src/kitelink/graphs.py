@@ -8,7 +8,7 @@ with u < v.  The text format is a header line "n m" followed by m lines
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -17,12 +17,10 @@ from .errors import (
     VertexOutOfRange,
 )
 
-if TYPE_CHECKING:
-    from .flow import SplitNetwork
-
 # The largest vertex count a Graph accepts, checked before anything is
-# allocated, so a declared count cannot ask for gigabytes.  Every host
-# in the tests and the benchmark has at most 80 vertices.
+# allocated, so a declared count cannot ask for gigabytes.  The tier-1
+# tests build hosts of up to 1,504 vertices, and CI checks the
+# connectivity of hosts of 1,000 and 4,000.
 MAX_VERTICES = 100_000
 
 
@@ -35,12 +33,11 @@ def check_vertex_count(n: int) -> None:
 class Graph:
     """An immutable simple undirected graph.
 
-    Each vertex's adjacency bitmask is built with its neighbour tuple;
-    the flow network is built on first use and kept.  Equality and
-    hashing ignore both.
+    Each vertex's adjacency bitmask is built with its neighbour tuple.
+    Equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_masks", "_split")
+    __slots__ = ("n", "_edges", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_vertex_count(n)
@@ -65,7 +62,6 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._masks: tuple[int, ...] = tuple(masks)
-        self._split: SplitNetwork | None = None
 
     @property
     def m(self) -> int:
@@ -92,16 +88,6 @@ class Graph:
 
     def adjacency_mask(self, v: int) -> int:
         return self._masks[v]
-
-    def split_network(self) -> SplitNetwork:
-        """The vertex-split flow network every fan and connectivity query
-        on this graph runs on.  Two threads may both build it on first
-        use; they build equal networks, and neither is ever written."""
-        if self._split is None:
-            from .flow import SplitNetwork
-
-            self._split = SplitNetwork(self)
-        return self._split
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2

@@ -2,8 +2,10 @@
 
 Everything here is written from the definitions, with no pruning beyond
 simple-path constraints, so it stays independent of the library's search
-code; the one exception, index_order_connectivity_at_least, is a frozen
-copy of an earlier library check. Sizes are kept small enough for
+code.  Two pieces are frozen copies of earlier library code:
+index_order_connectivity_at_least, an earlier connectivity check, and
+ReferenceNetwork, the vertex-split flow network every fan and
+connectivity query once ran on.  Sizes are kept small enough for
 exhaustive enumeration.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 
+from kitelink import flow
 from kitelink.errors import BudgetExceeded, DuplicateTerminals, GraphTooSmall, PreconditionViolated
 from kitelink.graphs import Graph
 from kitelink.linkage import LinkagePair
@@ -126,19 +129,164 @@ def index_order_connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if g.min_degree() < k:
         return False
-    net = g.split_network()
     for t in range(k):
         for s in range(t):
             if g.has_edge(s, t) or (g.adjacency_mask(s) & g.adjacency_mask(t)).bit_count() >= k:
                 continue
-            if net.max_flow(s, 1 << t, {t: k}, k)[0] < k:
+            if flow.max_flow(g, s, 1 << t, {t: k}, k)[0] < k:
                 return False
     for j in range(k, g.n):
         if bisect_left(g.neighbors(j), j) >= k:
             continue
-        if net.max_flow(j, (1 << j) - 1, {}, k)[0] < k:
+        if flow.max_flow(g, j, (1 << j) - 1, {}, k)[0] < k:
             return False
     return True
+
+
+def entry(v: int) -> int:
+    return 2 * v
+
+
+def exit_(v: int) -> int:
+    return 2 * v + 1
+
+
+def _arcs_one_at_a_time(g: Graph) -> dict:
+    """The network's arrays built arc by arc: split arcs, then two arcs
+    per sorted edge, then absorbing arcs, each next to its reverse."""
+    num_nodes, sink = 2 * g.n + 1, 2 * g.n
+    head: list[int] = []
+    base: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+
+    def add_arc(u: int, v: int, cap: int) -> int:
+        aid = len(head)
+        head.extend((v, u))
+        base.extend((cap, 0))
+        adj[u].append(aid)
+        adj[v].append(aid + 1)
+        return aid
+
+    split_arcs = tuple(add_arc(entry(v), exit_(v), 1) for v in range(g.n))
+    out_arcs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        out_arcs[u].append(add_arc(exit_(u), entry(v), 1))
+        out_arcs[v].append(add_arc(exit_(v), entry(u), 1))
+    sink_arcs = tuple(add_arc(entry(v), sink, 0) for v in range(g.n))
+    return {
+        "head": tuple(head),
+        "base": tuple(base),
+        "adj": tuple(map(tuple, adj)),
+        "out_arcs": tuple(map(tuple, out_arcs)),
+        "split_arcs": split_arcs,
+        "sink_arcs": sink_arcs,
+        "num_nodes": num_nodes,
+        "sink": sink,
+    }
+
+
+class ReferenceNetwork:
+    """The vertex-split network of a graph, the reference every flow of
+    kitelink.flow is compared against.
+
+    Every vertex v is split into an entry node 2v and an exit node 2v+1
+    joined by a capacity-1 arc, every edge gets an arc in each
+    direction and every vertex an absorbing arc into a super-sink; arc a
+    and its reverse a ^ 1 sit side by side.  A query copies the base
+    capacities into a residual of its own and augments along shortest
+    paths found by breadth-first search in arc order.
+    """
+
+    def __init__(self, g: Graph):
+        for name, value in _arcs_one_at_a_time(g).items():
+            setattr(self, name, value)
+
+    def residual(self, targets: dict[int, int]) -> list[int]:
+        """Fresh residual capacities in which targets absorb.
+
+        targets maps each target vertex to how many paths may end there;
+        its split arc is closed, so no path runs through a target.
+        """
+        cap = list(self.base)
+        for t, mult in targets.items():
+            cap[self.split_arcs[t]] = 0
+            cap[self.sink_arcs[t]] = mult
+        return cap
+
+    def _search(self, cap: list[int], source: int) -> list[int]:
+        """Breadth-first search from source through positive residual
+        capacity, stopping at the sink: entry v is the arc that first
+        reached node v, -2 at the source and -1 where none did."""
+        prev_arc = [-1] * self.num_nodes
+        prev_arc[source] = -2
+        order = [source]
+        for u in order:
+            for aid in self.adj[u]:
+                if cap[aid] > 0:
+                    v = self.head[aid]
+                    if prev_arc[v] == -1:
+                        prev_arc[v] = aid
+                        if v == self.sink:
+                            return prev_arc
+                        order.append(v)
+        return prev_arc
+
+    def augment(self, cap: list[int], source: int) -> bool:
+        """Push one unit along a shortest residual path from source to
+        the sink; False if there is none."""
+        prev_arc = self._search(cap, source)
+        v = self.sink
+        if prev_arc[v] == -1:
+            return False
+        while v != source:
+            aid = prev_arc[v]
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            v = self.head[aid ^ 1]
+        return True
+
+    def route(self, cap: list[int], *paths) -> None:
+        """Send one unit along each graph path, each ending at a target."""
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                aid = next(aid for aid in self.out_arcs[a] if self.head[aid] == entry(b))
+                for arc in (aid, self.sink_arcs[b] if b == path[-1] else self.split_arcs[b]):
+                    cap[arc] -= 1
+                    cap[arc ^ 1] += 1
+
+    def arms(self, cap: list[int], x: int) -> list[list[int]]:
+        """Decompose the flow out of x into vertex lists, lowest next
+        vertex first; an arm ends where its unit drains into the sink."""
+        arms: list[list[int]] = []
+        for aid in self.out_arcs[x]:
+            if cap[aid]:
+                continue  # an edge arc carries flow exactly when it is closed
+            arm = [x]
+            while True:
+                v = self.head[aid] >> 1
+                arm.append(v)
+                if cap[self.sink_arcs[v] ^ 1]:
+                    break
+                aid = next(aid for aid in self.out_arcs[v] if not cap[aid])
+            arms.append(arm)
+        return arms
+
+    def min_cut(self, cap: list[int], x: int) -> frozenset[int]:
+        """The vertex cut behind a max flow from x that stopped short of
+        its limit, read from the nodes the search still reaches."""
+        prev_arc = self._search(cap, exit_(x))
+        cut: set[int] = set()
+        for v, aid in enumerate(self.split_arcs):
+            if cap[aid] == 0 and prev_arc[entry(v)] != -1 and prev_arc[exit_(v)] == -1:
+                cut.add(v)
+        for a, arcs in enumerate(self.out_arcs):
+            if prev_arc[exit_(a)] == -1:
+                continue
+            for aid in arcs:
+                b = self.head[aid] >> 1
+                if cap[aid] == 0 and prev_arc[entry(b)] == -1 and b != x:
+                    cut.add(b)
+        return frozenset(cut)
 
 
 def separates(g: Graph, removed: frozenset[int]) -> bool:

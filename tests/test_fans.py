@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    ReferenceNetwork,
     brute_connectivity,
     brute_max_fan,
     circulant,
+    exit_,
     index_order_connectivity_at_least,
     joined_rings,
     separates,
 )
+from kitelink import flow
 from kitelink.constructor import _apex_arms, apex_fan
 from kitelink.errors import (
     GraphTooSmall,
@@ -34,7 +37,7 @@ from kitelink.fans import (
     terminal_fan,
     vertex_connectivity,
 )
-from kitelink.flow import SplitNetwork, exit_
+from kitelink.flow import Flow
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.paths import Path
@@ -356,7 +359,7 @@ def _augment_only(net, cap, x: int, limit: int) -> int:
 
 def _reference_terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | None:
     x1, x2, x3, x4 = roots.as_tuple()
-    net = g.split_network()
+    net = ReferenceNetwork(g)
     cap = net.residual({x1: 3, x3: 3, x4: 1})
     if _augment_only(net, cap, x2, 7) < 7:
         return None
@@ -367,7 +370,7 @@ def _reference_terminal_fan(g: Graph, roots: RootQuadruple) -> TerminalFan | Non
 
 
 def _reference_extend_fan(g: Graph, x: int, s: frozenset[int], base: Fan, k: int) -> Fan | None:
-    net = g.split_network()
+    net = ReferenceNetwork(g)
     cap = net.residual(dict.fromkeys(s, 1))
     for arm in base.arms:
         net.route(cap, arm.vertices)
@@ -380,7 +383,7 @@ def _reference_extend_fan(g: Graph, x: int, s: frozenset[int], base: Fan, k: int
 def _reference_connectivity(g: Graph) -> CutCertificate:
     if g.is_complete():
         return CutCertificate(g.n - 1, None)
-    net = g.split_network()
+    net = ReferenceNetwork(g)
     v = min(g.vertices(), key=g.degree)
     nbrs = g.neighbors(v)
     pairs = [(v, w) for w in g.vertices() if w != v and not g.has_edge(v, w)]
@@ -502,7 +505,7 @@ def test_connectivity_at_min_degree_needs_no_cut_search(g, monkeypatch):
     def no_cut(*_args):
         raise AssertionError("min_cut ran although kappa = min degree")
 
-    monkeypatch.setattr(SplitNetwork, "min_cut", no_cut)
+    monkeypatch.setattr(Flow, "min_cut", no_cut)
     v = min(g.vertices(), key=g.degree)
     cert = vertex_connectivity(g)
     assert cert == CutCertificate(g.degree(v), frozenset(g.neighbors(v)))
@@ -515,13 +518,13 @@ def test_connectivity_below_min_degree_reads_the_failing_flows_cut(monkeypatch):
     # of value 3, its cut is the witness, and the check passes at k = 3.
     g = joined_rings(400)
     cuts = []
-    min_cut = SplitNetwork.min_cut
+    min_cut = Flow.min_cut
 
     def counted(self, *args):
         cuts.append(min_cut(self, *args))
         return cuts[-1]
 
-    monkeypatch.setattr(SplitNetwork, "min_cut", counted)
+    monkeypatch.setattr(Flow, "min_cut", counted)
     cert = vertex_connectivity(g)
     assert (cert.k, g.min_degree(), len(cuts)) == (3, 8, 1)
     assert cert.cut == cuts[0] and separates(g, cert.cut)
@@ -555,13 +558,13 @@ def test_degree_order_runs_fewer_flows_on_a_dense_host(monkeypatch):
     # vertices have fewer than 32 neighbours before them: 252 flows.
     g = gen_random_kconnected(80, 7, 1)
     flows = []
-    max_flow = SplitNetwork.max_flow
+    max_flow = flow.max_flow
 
-    def counted(self, *args):
+    def counted(*args):
         flows.append(args)
-        return max_flow(self, *args)
+        return max_flow(*args)
 
-    monkeypatch.setattr(SplitNetwork, "max_flow", counted)
+    monkeypatch.setattr(flow, "max_flow", counted)
     assert index_order_connectivity_at_least(g, 32)
     index_order = len(flows)
     flows.clear()
@@ -569,44 +572,46 @@ def test_degree_order_runs_fewer_flows_on_a_dense_host(monkeypatch):
     assert (len(flows), index_order) == (158, 252)
 
 
-def _count_residuals(monkeypatch) -> list[tuple[bool, int]]:
+def _count_flows(monkeypatch) -> tuple[list[tuple[bool, int]], list[int]]:
     # One entry per max_flow query: whether its short arms filled it (it
-    # returned no residual) and how many residuals it built.
+    # returned no flow state) and how many Flows it built; and the count
+    # of every Flow built, inside a query or not.
     queries: list[tuple[bool, int]] = []
     built = [0]
-    residual, max_flow = SplitNetwork.residual, SplitNetwork.max_flow
+    init, max_flow = Flow.__init__, flow.max_flow
 
-    def counted_residual(self, *args):
+    def counted_init(self, *args):
         built[0] += 1
-        return residual(self, *args)
+        init(self, *args)
 
-    def counted_max_flow(self, *args):
+    def counted_max_flow(*args):
         before = built[0]
-        out = max_flow(self, *args)
+        out = max_flow(*args)
         queries.append((out[2] is None, built[0] - before))
         return out
 
-    monkeypatch.setattr(SplitNetwork, "residual", counted_residual)
-    monkeypatch.setattr(SplitNetwork, "max_flow", counted_max_flow)
-    return queries
+    monkeypatch.setattr(Flow, "__init__", counted_init)
+    monkeypatch.setattr(flow, "max_flow", counted_max_flow)
+    return queries, built
 
 
 def test_filled_fans_build_no_residual(monkeypatch):
     # On dense random hosts the short arms fill every terminal fan and
-    # apex step sampled here, so none of these 360 queries copies the
-    # capacities.
+    # apex step sampled here, so none of these 360 queries, and nothing
+    # else, builds a flow state.
     hosts = [gen_random_kconnected(40, 7, s) for s in range(3)]
-    queries = _count_residuals(monkeypatch)
+    queries, built = _count_flows(monkeypatch)
     for s, g in enumerate(hosts):
         for roots in _sampled_roots(40, 500 + s, 60):
             _apex_arms(g, terminal_fan(g, roots))
     assert len(queries) == 360
     assert queries == [(True, 0)] * 360
+    assert built == [0]
 
 
 def test_even_check_builds_a_residual_only_for_queries_that_fall_back(monkeypatch):
     g = gen_random_kconnected(80, 7, 1)
-    queries = _count_residuals(monkeypatch)
+    queries, _ = _count_flows(monkeypatch)
     assert has_connectivity_at_least(g, 32)
     assert all(built == (not filled) for filled, built in queries)
     filled = sum(f for f, _ in queries)
@@ -617,7 +622,7 @@ def test_terminal_fan_matches_augmentation_alone_across_the_fill_point(monkeypat
     # Roots of weight 3, 3 and 1 on random graphs from sparse to dense:
     # the short arms fill some queries, and the rest augment from them,
     # some to a full fan and some to none.
-    queries = _count_residuals(monkeypatch)
+    queries, _ = _count_flows(monkeypatch)
     rng = random.Random(29)
     cases = []  # (filled, found a fan) per root choice
     for _ in range(300):

@@ -1,46 +1,13 @@
-"""The one-pass SplitNetwork build against adding its arcs one at a
-time, and the cuts min_cut reads against the graph."""
+"""Flows held on the graph's vertices against the vertex-split reference
+network, and the cuts min_cut reads against the graph."""
 
 import random
+from collections import Counter
 
-from bruteforce import _separates_fan, circulant, separates
-from kitelink.flow import SplitNetwork, entry, exit_
+from bruteforce import ReferenceNetwork, _separates_fan, circulant, exit_, separates
+from kitelink import flow
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph, vertex_mask
-
-
-def _arcs_one_at_a_time(g: Graph) -> dict:
-    """The network's arrays built arc by arc: split arcs, then two arcs
-    per sorted edge, then absorbing arcs, each next to its reverse."""
-    num_nodes, sink = 2 * g.n + 1, 2 * g.n
-    head: list[int] = []
-    base: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-
-    def add_arc(u: int, v: int, cap: int) -> int:
-        aid = len(head)
-        head.extend((v, u))
-        base.extend((cap, 0))
-        adj[u].append(aid)
-        adj[v].append(aid + 1)
-        return aid
-
-    split_arcs = tuple(add_arc(entry(v), exit_(v), 1) for v in range(g.n))
-    out_arcs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        out_arcs[u].append(add_arc(exit_(u), entry(v), 1))
-        out_arcs[v].append(add_arc(exit_(v), entry(u), 1))
-    sink_arcs = tuple(add_arc(entry(v), sink, 0) for v in range(g.n))
-    return {
-        "head": tuple(head),
-        "base": tuple(base),
-        "adj": tuple(map(tuple, adj)),
-        "out_arcs": tuple(map(tuple, out_arcs)),
-        "split_arcs": split_arcs,
-        "sink_arcs": sink_arcs,
-        "num_nodes": num_nodes,
-        "sink": sink,
-    }
 
 
 def _hosts() -> list[Graph]:
@@ -56,11 +23,67 @@ def _hosts() -> list[Graph]:
     return hosts
 
 
-def test_one_pass_build_equals_arc_by_arc_build():
+def _matches_reference(g, ref, x, targets, multi, limit, base=()) -> str:
+    """Run one query both ways and compare the sent count, the arms and,
+    for a flow short of its limit, the min cut's repr; returns how the
+    query ended: "filled", "full" or "cut"."""
+    sent, arms, state = flow.max_flow(g, x, vertex_mask(targets), multi, limit, base)
+    room = dict.fromkeys(targets, 1)
+    room.update(multi)
+    cap = ref.residual(room)
+    ref.route(cap, *base)
+    want = 0
+    while want < limit and ref.augment(cap, exit_(x)):
+        want += 1
+    assert sent == want, (g.edges, x, targets, multi, limit, base)
+    got = arms if state is None else state.arms()
+    assert list(map(tuple, got)) == list(map(tuple, ref.arms(cap, x)))
+    if sent == limit:
+        return "filled" if state is None else "full"
+    assert repr(state.min_cut()) == repr(ref.min_cut(cap, x))
+    return "cut"
+
+
+def test_max_flow_matches_the_reference_network():
+    # Pair queries with room k, 3/3/1 terminal queries, and fans into
+    # random target sets with and without base arms (a flow on a random
+    # subgraph, partly kept), each run both ways.
+    rng = random.Random(53)
+    tally: Counter = Counter()
     for g in _hosts():
-        net = SplitNetwork(g)
-        for name, want in _arcs_one_at_a_time(g).items():
-            assert getattr(net, name) == want, (g, g.edges, name)
+        n = g.n
+        if n < 2:
+            continue
+        ref = ReferenceNetwork(g)
+        for _ in range(56):
+            s, t = rng.sample(range(n), 2)
+            if not g.has_edge(s, t):
+                k = rng.randint(1, n)
+                tally["pair", _matches_reference(g, ref, s, {t}, {t: k}, k)] += 1
+            if n >= 4:
+                x1, x2, x3, x4 = rng.sample(range(n), 4)
+                got = _matches_reference(g, ref, x2, {x1, x3, x4}, {x1: 3, x3: 3}, 7)
+                tally["terminal", got] += 1
+            x = rng.randrange(n)
+            pool = [v for v in range(n) if v != x]
+            targets = set(rng.sample(pool, rng.randint(1, len(pool))))
+            limit = rng.randint(1, len(targets))
+            tally["fan", _matches_reference(g, ref, x, targets, {}, limit)] += 1
+            sub = Graph(n, [e for e in g.edges if rng.random() < 0.5])
+            sub_ref = ReferenceNetwork(sub)
+            cap = sub_ref.residual(dict.fromkeys(targets, 1))
+            for _ in range(rng.randint(1, len(targets))):
+                sub_ref.augment(cap, exit_(x))
+            base = [tuple(a) for a in sub_ref.arms(cap, x) if rng.random() < 0.7]
+            if base and len(base) < len(targets):
+                limit = rng.randint(1, len(targets) - len(base))
+                tally["based", _matches_reference(g, ref, x, targets, {}, limit, base)] += 1
+    kinds = Counter(kind for kind, _ in tally.elements())
+    ends = Counter(end for _, end in tally.elements())
+    assert sum(kinds.values()) >= 10_000
+    assert min(kinds.values()) >= 1_000
+    assert min(ends.values()) >= 500
+    assert all(tally[kind, "cut"] >= 100 for kind in kinds)
 
 
 def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
@@ -72,13 +95,12 @@ def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
     for _ in range(60):
         n, p = rng.randint(3, 16), rng.choice((0.3, 0.5, 0.7))
         g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        net = g.split_network()
         for s in range(n):
             for t in range(n):
                 if t == s or g.has_edge(s, t):
                     continue
-                value, _, cap = net.max_flow(s, 1 << t, {t: n}, n)
-                cut = net.min_cut(cap, s)
+                value, _, state = flow.max_flow(g, s, 1 << t, {t: n}, n)
+                cut = state.min_cut()
                 assert len(cut) == value and s not in cut and t not in cut
                 assert _separates_fan(g, s, frozenset({t}), cut)
                 assert separates(g, cut)
@@ -86,9 +108,9 @@ def test_min_cut_of_a_short_flow_separates_with_one_vertex_per_unit():
             others = [v for v in range(n) if v != s]
             targets = frozenset(rng.sample(others, rng.randint(1, len(others))))
             limit = len(targets)
-            value, _, cap = net.max_flow(s, vertex_mask(targets), {}, limit)
+            value, _, state = flow.max_flow(g, s, vertex_mask(targets), {}, limit)
             if value < limit:
-                cut = net.min_cut(cap, s)
+                cut = state.min_cut()
                 assert len(cut) == value and s not in cut
                 assert _separates_fan(g, s, targets, cut)
                 fan_cuts += 1
