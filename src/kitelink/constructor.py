@@ -10,10 +10,13 @@ arm P, else the crossing assembly when a stretch of L crosses cleanly
 from the Q side to R, else landmark vertices on L feed claim 2 or
 claim 3, and when both decline the pieces form a flower whose own arcs
 and spokes close into at most four candidate cycles, each given its
-pendant by one breadth-first search.  find_kite runs the chain on the
-path two_linkage returns.  Every candidate is verified before being
-returned; any stage failure falls back to exhaustive search and is
-recorded as a diagnostic.
+pendant by one breadth-first search.  find_kite takes L, the shortest
+x1-x3 path in g minus {x2, x4} that two_linkage tries first.  When L
+misses p, p is the disjoint x2-x4 path, so claim 1 runs on L with no
+linkage search; otherwise two_linkage's search goes on from L and the
+chain runs on the path it returns.  Every candidate is verified before
+being returned; any stage failure falls back to exhaustive search and
+is recorded as a diagnostic.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .fans import (
     vertex_connectivity,
 )
 from .graphs import Graph, shortest_avoiding, vertex_mask
-from .linkage import two_linkage
+from .linkage import _linkage_from
 from .oracle import SearchBudget, find_kite_exhaustive
 from .paths import Cycle, Path, concat_paths, subpath
 from .structures import (
@@ -152,8 +155,8 @@ def apex_fan(g: Graph, tf: TerminalFan) -> ApexFan:
     receives at least three of them.  Roles are swapped if needed so that
     side is the Q side.  None of those landings is x2 and at most one is
     x1, so at least two lie clear of both.  This is _apex_arms followed
-    by _apex_landings; find_kite runs the second only when its linkage
-    path meets p, since claim 1 reads p alone.
+    by _apex_landings; find_kite runs the second only when its path L
+    meets p, since claim 1 reads p alone.
     """
     arms, p = _apex_arms(g, tf)
     return ApexFan(p, *_apex_landings(tf, arms))
@@ -163,7 +166,9 @@ def _apex_arms(g: Graph, tf: TerminalFan) -> tuple[list[Sequence[int]], Path]:
     """The seven arms of the apex fan as vertex lists, and p."""
     # The base arm is the terminal fan's own x4 arm, which its flow made
     # a valid one-arm fan into V(Q) + V(R), so it is not checked again.
-    targets = vertex_mask(v for arm in tf.q + tf.r for v in arm.vertices)
+    targets = 0
+    for arm in tf.q + tf.r:
+        targets |= vertex_mask(arm.vertices)
     arms = _grow_fan(g, tf.x4, targets, [tf.s.vertices[::-1]], 7)
     if arms is None:
         raise NoSevenFan(f"no 7-fan from x4={tf.x4} into the terminal fan")
@@ -276,15 +281,26 @@ def _landing_pendant(q: Path, arm: Path, w: int, x2: int, x4: int) -> Path | Cyc
     return concat_paths([subpath(q, x2, w), subpath(arm, w, x4)])
 
 
-def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
-    """The oriented terminal fan, l's vertices from x1, and the vertex
-    sets of Q plus the landing arms, of R and of p."""
+def _oriented_linkage(tf: TerminalFan, af: ApexFan, l: Path):
+    """The oriented terminal fan and l's vertices from x1."""
     tf_o = oriented_terminal_fan(tf, af)
     if {l.first, l.last} != {tf_o.x1, tf_o.x3}:
         raise PreconditionViolated("linkage path must join x1 and x3")
-    vs = l.vertices if l.first == tf_o.x1 else l.reverse().vertices
+    return tf_o, l.vertices if l.first == tf_o.x1 else l.vertices[::-1]
+
+
+def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
+    """The oriented terminal fan, l's vertices from x1, and the vertex
+    sets of Q plus the landing arms, of R and of p."""
+    tf_o, vs = _oriented_linkage(tf, af, l)
     qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
     return tf_o, vs, qwset, _vertices(tf_o.r), set(af.p.vertices)
+
+
+def _arm_indices(bundle) -> dict[int, int]:
+    """Each vertex of the arms mapped to the index of the first arm
+    through it, as _arm_index and _landing_arm find it."""
+    return {v: idx for idx in reversed(range(len(bundle))) for v in bundle[idx].vertices}
 
 
 def crossing_assembly(
@@ -301,28 +317,58 @@ def crossing_assembly(
     With no landing arms and an l that misses p this is the claim 1
     assembly, and the stretch always exists.
     """
-    tf_o, vs, qwset, rset, pset = _linkage_frame(tf, af, l)
-    for j, vj in enumerate(vs):
-        if vj not in rset:
-            continue
-        i = max(k for k in range(j) if vs[k] in qwset)  # vs[0] = x1 qualifies
-        if not any(v in rset or v in pset for v in vs[i + 1 : j]):
+    tf_o, vs = _oriented_linkage(tf, af, l)
+    q, r, x1, x3 = tf_o.q, tf_o.r, tf_o.x1, tf_o.x3
+    qidx, ridx = _arm_indices(q), _arm_indices(r)
+    widx = _arm_indices([arm for arm, _ in af.landings])
+    pset = set(af.p.vertices)
+    # One walk from x1, which is on Q: i is the last index on Q or a
+    # landing arm, and clear says no R- or P-vertex has come since.
+    i, clear = 0, True
+    for j in range(1, len(vs)):
+        v = vs[j]
+        if clear and v in ridx:
             break
+        if v in qidx or v in widx:
+            i, clear = j, True
+        elif v in ridx or v in pset:
+            clear = False
     else:
         return None
+    a, b = vs[i], vs[j]
+    # The stem x1 -> a runs up a's Q-path, or up the Q-path of the
+    # landing of a's arm and back out along the arm.  Arms run from the
+    # hub, or x4, to their far end, so every piece is a tail of an arm
+    # and meets the next where the arms do; one Cycle checks the rest.
+    if a in qidx:
+        landing, tail = a, ()
+    else:
+        w_arm = af.landings[widx[a]][0].vertices
+        landing, tail = w_arm[-1], w_arm[w_arm.index(a) : -1][::-1]
+    if landing == x1:
+        q_idx, stem = None, (x1,)
+    elif landing in qidx:
+        q_idx = qidx[landing]
+        q_arm = q[q_idx].vertices
+        stem = q_arm[q_arm.index(landing) :][::-1]
+    else:
+        raise InvariantViolation(f"{landing} is on no arm ending at {x1}")
+    if b == x3:
+        r_idx, r_tail = None, ()
+    else:
+        r_idx = ridx[b]
+        r_arm = r[r_idx].vertices
+        r_tail = r_arm[r_arm.index(b) + 1 :]
     try:
-        q_idx, q_stem = _contact_stem(tf_o, af, vs[i])
-        r_idx, r_stem = _stem(tf_o.r, tf_o.x3, vs[j])
-        cycle = concat_paths(
-            [
-                tf_o.q[_other(q_idx)],
-                q_stem,
-                Path(vs[i : j + 1]),
-                r_stem.reverse(),
-                tf_o.r[_other(r_idx)].reverse(),
-            ]
+        cycle = Cycle(
+            q[_other(q_idx)].vertices
+            + stem[1:]
+            + tail
+            + vs[i + 1 : j + 1]
+            + r_tail
+            + r[_other(r_idx)].vertices[-2:0:-1]
         )
-    except _SPLICE_ERRORS as exc:
+    except InvalidCycle as exc:
         raise AssemblyFailed(f"crossing pieces overlap: {exc}") from exc
     return _checked(g, tf_o, cycle, af.p.reverse(), "crossing")
 
@@ -590,7 +636,9 @@ def assemble(g: Graph, tf: TerminalFan, af: ApexFan, l: Path) -> tuple[str, Kite
     again, and claim 1 is the only case run on it.
     """
     if not af.landings or set(l.vertices).isdisjoint(af.p.vertices):
-        kite = crossing_assembly(g, tf, ApexFan(af.p, (), "kept"), l)
+        if af.landings or af.side != "kept":
+            af = ApexFan(af.p, (), "kept")
+        kite = crossing_assembly(g, tf, af, l)
         if kite is None:  # with no landings, only an l that meets p has no stretch
             raise PreconditionViolated("linkage path meets the apex arm, which has no landings")
         return "claim1", kite
@@ -611,18 +659,25 @@ def assemble(g: Graph, tf: TerminalFan, af: ApexFan, l: Path) -> tuple[str, Kite
 def _pipeline(
     g: Graph, roots: RootQuadruple, options: FindKiteOptions
 ) -> tuple[str, KiteSubdivision]:
+    """The claim chain on the x1-x3 path two_linkage returns.
+
+    That starts as L, the first path two_linkage tries.  When L misses
+    p, p proves it, so two_linkage would return L and no more search is
+    run; otherwise two_linkage's search goes on from L."""
     tf = terminal_fan(g, roots)
     if tf is None:
         raise NoTerminalFan("no 7-fan from x2 splitting 3/3/1 over x1, x3, x4")
     arms, p = _apex_arms(g, tf)
-    link = two_linkage(g, roots.x1, roots.x3, roots.x2, roots.x4, options.budget)
-    if link is None:
-        raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
-    if set(link.l.vertices).isdisjoint(p.vertices):
-        af = ApexFan(p, (), "kept")  # claim 1 reads p alone
+    x1, x2, x3, x4 = roots.as_tuple()
+    first = shortest_avoiding(g, x1, x3, 1 << x2 | 1 << x4)
+    if first is not None and set(p.vertices).isdisjoint(first):
+        l, af = Path(first), ApexFan(p, (), "kept")  # claim 1 reads p alone
     else:
-        af = ApexFan(p, *_apex_landings(tf, arms))
-    path, kite = assemble(g, tf, af, link.l)
+        link = None if first is None else _linkage_from(g, x1, x3, x2, x4, first, options.budget)
+        if link is None:
+            raise AssemblyFailed("no disjoint linkage for (x1-x3, x2-x4)")
+        l, af = link.l, ApexFan(p, *_apex_landings(tf, arms))
+    path, kite = assemble(g, tf, af, l)
     # The crossing assembly closes a claim 1 cycle, and stages name claims.
     return ("claim1" if path == "crossing" else path), kite
 

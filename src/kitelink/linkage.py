@@ -14,11 +14,13 @@ explicit stack, not in recursion, so a path of any length the vertex
 cap allows is legal input; only the budget bounds its depth and work.
 Every 6-connected graph admits the linkage (it is non-planar, hence
 2-linked: Seymour 1980, Thomassen 1980), which is the regime the kite
-pipeline calls it in.  There that path almost always suffices: over
-15,600 calls on sparse 8-connected circulants (n = 18 to 40) and random
-7-connected 40-vertex graphs the search never ran, and on a 2-core Xeon
-the median call took 0.015 ms and the 99th percentile 0.046 ms (the
-slowest, 3.6 ms, repeats in under 0.1 ms).  The search counts its
+pipeline calls it in.  The pipeline finds the first path itself and
+goes on here only when that path meets the apex fan's x2 arm, which is
+otherwise the second path: that was 232 of 15,900 kite calls on sparse
+8-connected circulants (n = 18 to 40) and random 7-connected 40-vertex
+graphs.  On those 232 the first path sufficed and the search never ran;
+on a 2-core Xeon the median two_linkage call took 0.013 ms and the
+slowest 0.022 ms (best of 5 per call).  The search counts its
 expansions against a budget and raises LinkageBudgetExceeded when it
 runs out.
 """
@@ -71,6 +73,15 @@ def two_linkage(
     first = shortest_avoiding(g, s1, t1, (1 << s2) | (1 << t2))
     if first is None:
         return None
+    return _linkage_from(g, s1, t1, s2, t2, first, budget)
+
+
+def _linkage_from(
+    g: Graph, s1: int, t1: int, s2: int, t2: int, first: list[int], budget: int
+) -> LinkagePair | None:
+    """two_linkage from first, shortest_avoiding's s1-t1 path in g minus
+    {s2, t2}, for a caller that has found it already and checked the
+    terminals and the budget."""
     second = shortest_avoiding(g, s2, t2, vertex_mask(first))
     if second is None:
         first = _search(g, s1, t1, s2, t2, len(first) - 1, budget)

@@ -88,9 +88,12 @@ class Path(_Walk):
 def normalize_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     """Rotate to start at the smallest vertex, then pick the direction with
     the lexicographically smaller sequence.  Tolerates arbitrary input so
-    unvalidated candidates can still be put in canonical form."""
+    unvalidated candidates can still be put in canonical form.  A tuple
+    already in that form is returned as it is."""
     vs = tuple(vertices)
     if not vs:
+        return vs
+    if vs[0] == min(vs) and (len(vs) < 3 or vs[1] < vs[-1]):
         return vs
     i = vs.index(min(vs))
     fwd = vs[i:] + vs[:i]

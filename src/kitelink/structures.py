@@ -55,6 +55,9 @@ class Verdict:
         return self.ok
 
 
+_VALID = Verdict(True)  # frozen, so every accepting verifier shares it
+
+
 @dataclass(frozen=True)
 class KiteSubdivision:
     """A candidate rooted kite: cycle vertices (canonical rotation) and the
@@ -171,7 +174,7 @@ def verify_kite(g: Graph, roots: RootQuadruple, kite: KiteSubdivision) -> Verdic
     if meet != {roots.x2}:
         extra = sorted(meet - {roots.x2})
         return Verdict(False, f"pendant touches cycle at {extra}")
-    return Verdict(True)
+    return _VALID
 
 
 def _cyclic_order_ok(cycle: Sequence[int], marks: Sequence[int]) -> bool:
@@ -227,4 +230,4 @@ def verify_flower(g: Graph, f: Flower) -> Verdict:
             return Verdict(False, f"{na} and {nb} share a vertex")
     if not _cyclic_order_ok(f.c3, (f.v1, f.v2, f.v3, roots.x4)):
         return Verdict(False, "landings v1, v2, v3, x4 out of cyclic order on c3")
-    return Verdict(True)
+    return _VALID

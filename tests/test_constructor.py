@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from kitelink import constructor
+from kitelink import constructor, linkage
 from kitelink.constructor import (
     ApexFan,
     FindKiteOptions,
@@ -32,15 +32,20 @@ from kitelink.constructor import (
     resolve_flower,
 )
 from kitelink.errors import (
+    AssemblyFailed,
     ConstructionFailed,
     FlowerInvalid,
     FlowerResolutionExhausted,
+    InteriorOverlap,
+    InvalidCycle,
     InvariantViolation,
     NoSevenFan,
     NotSevenConnected,
     OrderingViolated,
     PreconditionViolated,
+    SegmentsNotChainable,
     StageFailure,
+    VertexNotOnPath,
 )
 from kitelink.fans import (
     TerminalFan,
@@ -52,8 +57,15 @@ from kitelink.generators import gen_complete_minus_matching, gen_random_kconnect
 from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding
 from kitelink.linkage import two_linkage
 from kitelink.oracle import find_kite_exhaustive
-from kitelink.paths import Path
-from kitelink.structures import Flower, RootQuadruple, Verdict, verify_flower, verify_kite
+from kitelink.paths import Cycle, Path, concat_paths, subpath
+from kitelink.structures import (
+    Flower,
+    KiteSubdivision,
+    RootQuadruple,
+    Verdict,
+    verify_flower,
+    verify_kite,
+)
 
 from bruteforce import circulant, rooted_kite_exists
 
@@ -280,6 +292,117 @@ def test_assemblies_report_a_landing_off_the_fans_as_stage_failure():
     for assembly in (claim2_assembly, claim3_assembly, build_flower):
         with pytest.raises(InvariantViolation):
             assembly(g, tf, bad, lm)
+
+
+def _reference_crossing_assembly(g, tf, af, l):
+    """crossing_assembly as it was written before its one-pass walk: a
+    rescan of l for each R-vertex, arm lookups by scanning the bundles,
+    and a cycle spliced by concat_paths from five paths."""
+    tf_o = tf.swap_sides() if af.side == "swapped" else tf
+    if {l.first, l.last} != {tf_o.x1, tf_o.x3}:
+        raise PreconditionViolated("linkage path must join x1 and x3")
+    vs = l.vertices if l.first == tf_o.x1 else l.reverse().vertices
+    qwset = {v for arm in tf_o.q + tuple(arm for arm, _ in af.landings) for v in arm}
+    rset = {v for arm in tf_o.r for v in arm}
+    pset = set(af.p.vertices)
+    for j, vj in enumerate(vs):
+        if vj not in rset:
+            continue
+        i = max(k for k in range(j) if vs[k] in qwset)
+        if not any(v in rset or v in pset for v in vs[i + 1 : j]):
+            break
+    else:
+        return None
+
+    def stem(bundle, root, a):
+        if a == root:
+            return None, Path((root,))
+        idx = next((idx for idx, arm in enumerate(bundle) if a in arm), None)
+        if idx is None:
+            raise InvariantViolation(f"{a} is on no arm ending at {root}")
+        return idx, subpath(bundle[idx], root, a)
+
+    def other(idx):
+        return min({0, 1, 2} - {idx})
+
+    try:
+        a = vs[i]
+        if any(a in q for q in tf_o.q):
+            q_idx, q_stem = stem(tf_o.q, tf_o.x1, a)
+        else:
+            arm = next(arm for arm, _ in af.landings if a in arm)
+            q_idx, q_stem = stem(tf_o.q, tf_o.x1, arm.last)
+            q_stem = concat_paths([q_stem, subpath(arm, arm.last, a)])
+        r_idx, r_stem = stem(tf_o.r, tf_o.x3, vs[j])
+        cycle = concat_paths(
+            [
+                tf_o.q[other(q_idx)],
+                q_stem,
+                Path(vs[i : j + 1]),
+                r_stem.reverse(),
+                tf_o.r[other(r_idx)].reverse(),
+            ]
+        )
+    except (SegmentsNotChainable, InteriorOverlap, InvalidCycle, VertexNotOnPath) as exc:
+        raise AssemblyFailed(f"crossing pieces overlap: {exc}") from exc
+    if not isinstance(cycle, Cycle):
+        raise AssemblyFailed("crossing: cycle did not close")
+    kite = KiteSubdivision.from_parts(cycle, af.p.reverse())
+    if not verify_kite(g, RootQuadruple(tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4), kite):
+        raise AssemblyFailed("crossing built an invalid kite")
+    return kite
+
+
+def _outcome(assembly, *args):
+    """The kite or None an assembly returns, else the type it raises."""
+    try:
+        return assembly(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _simple_paths(g, a, b):
+    paths, stack = [], [(a,)]
+    while stack:
+        vs = stack.pop()
+        if vs[-1] == b:
+            paths.append(Path(vs))
+            continue
+        stack.extend(vs + (w,) for w in g.neighbors(vs[-1]) if w not in vs)
+    return paths
+
+
+def test_crossing_assembly_matches_the_rescan_and_five_path_splice():
+    # Every simple x1-x3 path of the two-sided fixture, both ways round,
+    # against apex fans broken by hand as well as whole ones: each gives
+    # the same kite, None or exception type as the old scan and splice.
+    g, tf, af = _two_sided_fixture()
+    (w1, _), w2, w3 = af.landings
+    fans = [
+        af,
+        ApexFan(af.p, af.landings, "swapped"),
+        ApexFan(af.p, (), "kept"),
+        ApexFan(af.p, (), "swapped"),
+        ApexFan(af.p, ((Path((3, 11, 8)), 8), w2, w3), "kept"),  # lands on R
+        ApexFan(af.p, ((Path((3, 11, 10)), 10), w2, w3), "kept"),  # lands on p
+        ApexFan(af.p, ((w1.reverse(), 4), w2, w3), "kept"),
+        ApexFan(af.p, ((Path((3, 11)), 4), w2, w3), "kept"),  # cut short
+        ApexFan(af.p, ((w1, 6), w2, w3), "kept"),  # its landing moved
+        ApexFan(af.p, ((Path((3, 11, 6)), 6), w2, w3), "kept"),  # its arm moved
+        ApexFan(af.p, (w2, (w1, 4), w3), "kept"),  # out of order
+        ApexFan(af.p, ((w1, 4), (Path((3, 11, 5)), 5), w3), "kept"),  # two arms share 11
+    ]
+    ls = _simple_paths(g, 0, 2)
+    seen = Counter()
+    for fan in fans:
+        for l in ls + [l.reverse() for l in ls] + [Path((0, 6)), Path((1, 7, 2))]:
+            got = _outcome(crossing_assembly, g, tf, fan, l)
+            assert got == _outcome(_reference_crossing_assembly, g, tf, fan, l), (fan, l)
+            seen[got if isinstance(got, type) else type(got)] += 1
+    assert len(ls) == 392
+    assert set(seen) == {
+        KiteSubdivision, type(None), AssemblyFailed, InvariantViolation, PreconditionViolated
+    }
 
 
 # ------------------------------------------------------- claim assemblies
@@ -738,11 +861,17 @@ def test_find_kite_matches_the_public_stage_route():
     assert taken["claim1"] > 1000 and taken["claim1"] < sum(taken.values())
 
 
-class _LandingsBuilt(Exception):
+class _Unreachable(Exception):
     pass
 
 
-def test_find_kite_builds_landings_only_when_l_meets_p(monkeypatch):
+def _unreachable(*args):
+    raise _Unreachable()
+
+
+def _claim1_and_meeting_roots():
+    """The first root choice of the split-route corpus whose linkage path
+    misses p, with its kite, and the first whose path meets p."""
     claim1 = meets = None
     for g, roots in _split_route_corpus():
         path, kite = _public_route(g, roots)
@@ -751,19 +880,38 @@ def test_find_kite_builds_landings_only_when_l_meets_p(monkeypatch):
         if path != "claim1" and meets is None:
             meets = g, roots
         if claim1 and meets:
-            break
+            return claim1, meets
 
-    def unreachable(*args):
-        raise _LandingsBuilt()
 
-    monkeypatch.setattr(constructor, "_apex_landings", unreachable)
+def test_find_kite_builds_landings_only_when_l_meets_p(monkeypatch):
+    (g, roots, kite), meets = _claim1_and_meeting_roots()
+    monkeypatch.setattr(constructor, "_apex_landings", _unreachable)
     opts = FindKiteOptions(try_direct=False, allow_fallback=False)
-    g, roots, kite = claim1
     res = find_kite(g, roots, opts)
     assert (res.stage, res.kite) == ("claim1", kite)
-    g, roots = meets
-    with pytest.raises(_LandingsBuilt):
-        find_kite(g, roots, opts)
+    with pytest.raises(_Unreachable):
+        find_kite(*meets, opts)
+
+
+def test_find_kite_runs_the_linkage_search_only_when_l_meets_p(monkeypatch):
+    # When L misses p, p is the x2-x4 path of the linkage, so find_kite
+    # runs one breadth-first search for L and nothing of two_linkage's.
+    (g, roots, kite), meets = _claim1_and_meeting_roots()
+    searches = []
+
+    def counting(*args):
+        searches.append(args)
+        return shortest_avoiding(*args)
+
+    monkeypatch.setattr(constructor, "shortest_avoiding", counting)
+    monkeypatch.setattr(linkage, "shortest_avoiding", counting)
+    monkeypatch.setattr(constructor, "_linkage_from", _unreachable)
+    opts = FindKiteOptions(try_direct=False, allow_fallback=False)
+    res = find_kite(g, roots, opts)
+    assert (res.stage, res.kite) == ("claim1", kite)
+    assert len(searches) == 1
+    with pytest.raises(_Unreachable):
+        find_kite(*meets, opts)
 
 
 def test_assemble_refuses_a_landless_apex_fan_when_l_meets_p():

@@ -119,6 +119,29 @@ def test_normalize_cycle_is_rotation_and_reflection_invariant(vs):
     assert sorted(base) == sorted(vs)
 
 
+def _rotate_and_reflect(vs):
+    """normalize_cycle's canonical form, rotated and reflected in full."""
+    vs = tuple(vs)
+    if not vs:
+        return vs
+    i = vs.index(min(vs))
+    fwd = vs[i:] + vs[:i]
+    return min(fwd, (fwd[0],) + fwd[1:][::-1])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=9))
+def test_normalize_cycle_matches_the_full_rotation_and_reflection(vs):
+    # Six values over up to nine places: repeated vertices are common.
+    base = normalize_cycle(vs)
+    assert type(base) is tuple
+    assert base == _rotate_and_reflect(vs)
+    assert normalize_cycle(base) == base
+    if len(set(vs)) == len(vs):
+        # A canonical cycle comes back as it is, not copied.
+        assert normalize_cycle(base) is base
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 30), min_size=2, max_size=10, unique=True), st.data())
 def test_subpath_endpoints_and_membership(vs, data):
