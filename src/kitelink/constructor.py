@@ -182,21 +182,20 @@ def _apex_landings(
     tf: TerminalFan, arms: list[Sequence[int]]
 ) -> tuple[tuple[tuple[Path, int], ...], str]:
     """The apex fan's landings in ApexFan's order, and its side."""
-    qverts = _vertices(tf.q)
     others = [arm for arm in arms if arm[-1] != tf.hub]
-    qside = [arm for arm in others if arm[-1] in qverts]
-    side = "kept"
-    tf_o = tf
+    qidx = _arm_indices(tf.q)
+    qside = [arm for arm in others if arm[-1] in qidx]
+    side, tf_o = "kept", tf
     if len(qside) < 3:
-        side = "swapped"
-        tf_o = tf.swap_sides()
-        qside = [arm for arm in others if arm[-1] not in qverts]
+        side, tf_o = "swapped", tf.swap_sides()
+        qside = [arm for arm in others if arm[-1] not in qidx]
+        qidx = _arm_indices(tf_o.q)
 
     def landing_key(arm: Sequence[int]):
         # By Q-path, then nearest x2 first; x1 sorts last.  Landings are
         # distinct, so no two keys tie.
         w = arm[-1]
-        idx = _arm_index(tf_o.q, tf_o.x1, w)
+        idx = _tail(tf_o.q, qidx, tf_o.x1, w)[0]
         if idx is None:
             return (3, 0)
         return (idx, tf_o.q[idx].index(w))
@@ -205,73 +204,81 @@ def _apex_landings(
     return tuple((Path(arm), arm[-1]) for arm in ordered), side
 
 
-def _vertices(paths) -> set[int]:
-    return {v for path in paths for v in path.vertices}
-
-
 def _other(*taken: int | None) -> int:
     """The lowest arm index of a bundle that is not taken."""
     return min({0, 1, 2}.difference(taken))
 
 
-def _arm_index(bundle: tuple[Path, ...], root: int, a: int) -> int | None:
-    """The index of the bundle arm through a.
+def _arm_indices(bundle) -> dict[int, int]:
+    """Each vertex of the arms mapped to the index of the first arm
+    through it.  Arms of a bundle share only the hub and their far end,
+    the root, so the arm is unique off those two."""
+    return {v: idx for idx in reversed(range(len(bundle))) for v in bundle[idx].vertices}
 
-    Arms of a bundle share only the hub and their far end, the root, so
-    the arm is unique off those two; None when a is the root itself,
-    which every arm reaches.
-    """
+
+def _arm_maps(tf_o: TerminalFan, af: ApexFan):
+    """The arm-index maps of the Q-paths, the R-paths and the landing
+    arms."""
+    return (
+        _arm_indices(tf_o.q),
+        _arm_indices(tf_o.r),
+        _arm_indices([arm for arm, _ in af.landings]),
+    )
+
+
+def _tail(bundle: tuple[Path, ...], arms: dict[int, int], root: int, a: int):
+    """The index of the first bundle arm through a and the stem a -> root
+    down it: the R stem b -> x3, and read backwards the Q stem x1 -> a.
+    None and (root,) when a is the root, which every arm reaches."""
     if a == root:
-        return None
-    for idx, arm in enumerate(bundle):
-        if a in arm:
-            return idx
-    raise InvariantViolation(f"{a} is on no arm ending at {root}")
+        return None, (root,)
+    idx = arms.get(a)
+    if idx is None:
+        raise InvariantViolation(f"{a} is on no arm ending at {root}")
+    arm = bundle[idx].vertices
+    return idx, arm[arm.index(a) :]
 
 
-def _stem(bundle: tuple[Path, ...], root: int, a: int) -> tuple[int | None, Path]:
-    """The index of the bundle arm through a, and its stretch root -> a."""
-    idx = _arm_index(bundle, root, a)
-    return idx, Path((root,)) if idx is None else subpath(bundle[idx], root, a)
+def _q_stem(tf_o: TerminalFan, af: ApexFan, qidx: dict[int, int], widx: dict[int, int], a: int):
+    """The stem x1 -> a for a on a Q-path or a landing arm, the index of
+    the Q-path it climbs (None when that is x1 alone) and the vertex
+    where it leaves Q.
 
-
-def _landing_arm(af: ApexFan, a: int) -> Path:
-    for arm, _ in af.landings:
-        if a in arm:
-            return arm
-    raise InvariantViolation(f"{a} is on no landing arm")
-
-
-def _contact_stem(tf_o: TerminalFan, af: ApexFan, a: int) -> tuple[int | None, Path]:
-    """The stem x1 -> a for a on a Q-path or on a landing arm.
-
-    Off Q, the stem runs up the Q-path of a's landing and out along the
-    arm.  The index is that of the Q-path used, None when it is x1 alone.
+    Off Q, the stem runs up the Q-path to where a's landing arm ends,
+    then back out along the arm.  That end is read off the arm, not off
+    the landing ApexFan declares for it.
     """
-    if any(a in q for q in tf_o.q):
-        return _stem(tf_o.q, tf_o.x1, a)
-    arm = _landing_arm(af, a)
-    idx, stem = _stem(tf_o.q, tf_o.x1, arm.last)
-    return idx, concat_paths([stem, subpath(arm, arm.last, a)])
+    if a in qidx:
+        landing, out = a, ()
+    elif a in widx:
+        arm = af.landings[widx[a]][0].vertices
+        landing, out = arm[-1], arm[arm.index(a) : -1][::-1]
+    else:
+        raise InvariantViolation(f"{a} is on no landing arm")
+    idx, up = _tail(tf_o.q, qidx, tf_o.x1, landing)
+    return idx, landing, up[::-1] + out
 
 
 def _landing_frame(tf: TerminalFan, af: ApexFan):
-    """The oriented terminal fan, the landings away from x1 tagged with
-    the index of their Q-path, and the sorted indices of those paths."""
+    """The oriented terminal fan, the arm-index maps of its Q-paths and
+    of the landing arms, the landings away from x1 tagged with the index
+    of their Q-path, and the sorted indices of those paths."""
     tf_o = oriented_terminal_fan(tf, af)
-    tagged = [(arm, w, _arm_index(tf_o.q, tf_o.x1, w)) for arm, w in af.landings]
+    qidx, _, widx = _arm_maps(tf_o, af)
+    tagged = [(arm, w, _tail(tf_o.q, qidx, tf_o.x1, w)[0]) for arm, w in af.landings]
     interior = [t for t in tagged if t[2] is not None]
-    return tf_o, interior, sorted({idx for _, _, idx in interior})
+    return tf_o, qidx, widx, interior, sorted({idx for _, _, idx in interior})
 
 
 def _one_q_path(tf: TerminalFan, af: ApexFan, refusal: Exception):
-    """The oriented terminal fan, Q1 and the other two Q-paths, for the
-    one-sided case where every landing away from x1 is on Q1; raises
+    """_landing_frame's fan and maps, Q1 and the other two Q-paths, for
+    the one-sided case where every landing away from x1 is on Q1; raises
     refusal when the landings span some other number of Q-paths."""
-    tf_o, _, spanned = _landing_frame(tf, af)
+    tf_o, qidx, widx, _, spanned = _landing_frame(tf, af)
     if len(spanned) != 1:
         raise refusal
-    return tf_o, tf_o.q[spanned[0]], [q for i, q in enumerate(tf_o.q) if i != spanned[0]]
+    rest = [q for i, q in enumerate(tf_o.q) if i != spanned[0]]
+    return tf_o, qidx, widx, tf_o.q[spanned[0]], rest
 
 
 def _landing_pendant(q: Path, arm: Path, w: int, x2: int, x4: int) -> Path | Cycle:
@@ -281,26 +288,15 @@ def _landing_pendant(q: Path, arm: Path, w: int, x2: int, x4: int) -> Path | Cyc
     return concat_paths([subpath(q, x2, w), subpath(arm, w, x4)])
 
 
-def _oriented_linkage(tf: TerminalFan, af: ApexFan, l: Path):
-    """The oriented terminal fan and l's vertices from x1."""
+def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
+    """The oriented terminal fan, l's vertices from x1, the arm-index
+    maps of the Q-paths, the R-paths and the landing arms, and p's
+    vertex set."""
     tf_o = oriented_terminal_fan(tf, af)
     if {l.first, l.last} != {tf_o.x1, tf_o.x3}:
         raise PreconditionViolated("linkage path must join x1 and x3")
-    return tf_o, l.vertices if l.first == tf_o.x1 else l.vertices[::-1]
-
-
-def _linkage_frame(tf: TerminalFan, af: ApexFan, l: Path):
-    """The oriented terminal fan, l's vertices from x1, and the vertex
-    sets of Q plus the landing arms, of R and of p."""
-    tf_o, vs = _oriented_linkage(tf, af, l)
-    qwset = _vertices(tf_o.q + tuple(arm for arm, _ in af.landings))
-    return tf_o, vs, qwset, _vertices(tf_o.r), set(af.p.vertices)
-
-
-def _arm_indices(bundle) -> dict[int, int]:
-    """Each vertex of the arms mapped to the index of the first arm
-    through it, as _arm_index and _landing_arm find it."""
-    return {v: idx for idx in reversed(range(len(bundle))) for v in bundle[idx].vertices}
+    vs = l.vertices if l.first == tf_o.x1 else l.vertices[::-1]
+    return tf_o, vs, *_arm_maps(tf_o, af), set(af.p.vertices)
 
 
 def crossing_assembly(
@@ -317,11 +313,7 @@ def crossing_assembly(
     With no landing arms and an l that misses p this is the claim 1
     assembly, and the stretch always exists.
     """
-    tf_o, vs = _oriented_linkage(tf, af, l)
-    q, r, x1, x3 = tf_o.q, tf_o.r, tf_o.x1, tf_o.x3
-    qidx, ridx = _arm_indices(q), _arm_indices(r)
-    widx = _arm_indices([arm for arm, _ in af.landings])
-    pset = set(af.p.vertices)
+    tf_o, vs, qidx, ridx, widx, pset = _linkage_frame(tf, af, l)
     # One walk from x1, which is on Q: i is the last index on Q or a
     # landing arm, and clear says no R- or P-vertex has come since.
     i, clear = 0, True
@@ -335,38 +327,19 @@ def crossing_assembly(
             clear = False
     else:
         return None
-    a, b = vs[i], vs[j]
-    # The stem x1 -> a runs up a's Q-path, or up the Q-path of the
-    # landing of a's arm and back out along the arm.  Arms run from the
-    # hub, or x4, to their far end, so every piece is a tail of an arm
-    # and meets the next where the arms do; one Cycle checks the rest.
-    if a in qidx:
-        landing, tail = a, ()
-    else:
-        w_arm = af.landings[widx[a]][0].vertices
-        landing, tail = w_arm[-1], w_arm[w_arm.index(a) : -1][::-1]
-    if landing == x1:
-        q_idx, stem = None, (x1,)
-    elif landing in qidx:
-        q_idx = qidx[landing]
-        q_arm = q[q_idx].vertices
-        stem = q_arm[q_arm.index(landing) :][::-1]
-    else:
-        raise InvariantViolation(f"{landing} is on no arm ending at {x1}")
-    if b == x3:
-        r_idx, r_tail = None, ()
-    else:
-        r_idx = ridx[b]
-        r_arm = r[r_idx].vertices
-        r_tail = r_arm[r_arm.index(b) + 1 :]
+    # A spare Q-path x2 -> x1, the stem x1 -> a, the stretch a -> b, the
+    # stem b -> x3 and a spare R-path back to x2 close the cycle.  The
+    # pieces are vertex tuples that meet where the arms do, so one Cycle
+    # checks the rest.
+    q_idx, _, stem = _q_stem(tf_o, af, qidx, widx, vs[i])
+    r_idx, r_stem = _tail(tf_o.r, ridx, tf_o.x3, vs[j])
     try:
         cycle = Cycle(
-            q[_other(q_idx)].vertices
+            tf_o.q[_other(q_idx)].vertices
             + stem[1:]
-            + tail
-            + vs[i + 1 : j + 1]
-            + r_tail
-            + r[_other(r_idx)].vertices[-2:0:-1]
+            + vs[i + 1 : j]
+            + r_stem
+            + tf_o.r[_other(r_idx)].vertices[-2:0:-1]
         )
     except InvalidCycle as exc:
         raise AssemblyFailed(f"crossing pieces overlap: {exc}") from exc
@@ -380,23 +353,23 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
     the structural argument promises; the caller treats that as a stage
     failure and falls back.
     """
-    tf_o, vs, qwset, rset, pset = _linkage_frame(tf, af, l)
-    if not (set(vs) & pset):
+    tf_o, vs, qidx, ridx, widx, pset = _linkage_frame(tf, af, l)
+    if pset.isdisjoint(vs):
         raise PreconditionViolated("linkage path misses the apex arm; use claim1_assembly")
-    iu = max(i for i, v in enumerate(vs) if v in qwset)
+    iu = max(i for i, v in enumerate(vs) if v in qidx or v in widx)
     phits = [i for i, v in enumerate(vs) if v in pset]
     after = [i for i in phits if i > iu]
     if not after:
         raise OrderingViolated("the apex arm meets L only before u")
     iuprime, iv = after[0], phits[-1]
-    rhits = [i for i in range(iv + 1, len(vs)) if vs[i] in rset]
+    rhits = [i for i in range(iv + 1, len(vs)) if vs[i] in ridx]
     if not rhits:
         raise OrderingViolated("no R-vertex after v on L")
     iw = rhits[0]  # so u < u' <= v < w, u' and v being P-hits past u
-    if any(vs[i] in rset for i in range(iu + 1, iuprime)):
+    if any(vs[i] in ridx for i in range(iu + 1, iuprime)):
         raise OrderingViolated("an R-vertex intrudes into L[u, u']")
     w = vs[iw]
-    r1_index, r_stem = _stem(tf_o.r, tf_o.x3, w)
+    r1_index, r_stem = _tail(tf_o.r, ridx, tf_o.x3, w)
     if r1_index is None:  # w = x3 ends every R-path; the first serves as R1
         r1_index = 0
     try:
@@ -405,7 +378,7 @@ def compute_landmarks(l: Path, tf: TerminalFan, af: ApexFan) -> Landmarks:
                 Path(vs[iu : iuprime + 1]),
                 subpath(af.p, vs[iuprime], vs[iv]),
                 Path(vs[iv : iw + 1]),
-                r_stem.reverse(),
+                Path(r_stem),
                 tf_o.r[_other(r1_index)].reverse(),
             ]
         )
@@ -451,13 +424,13 @@ def claim2_assembly(
     None means the hypothesis fails (all interior landings share one
     Q-path) and the next case should run.
     """
-    tf_o, interior, spanned = _landing_frame(tf, af)
+    tf_o, qidx, widx, interior, spanned = _landing_frame(tf, af)
     if len(spanned) < 2:
         return None
     try:
-        u_idx, stem = _contact_stem(tf_o, af, lm.u)
+        u_idx, _, stem = _q_stem(tf_o, af, qidx, widx, lm.u)
         l_idx = next(i for i in spanned if i != u_idx)
-        cycle = concat_paths([tf_o.q[_other(l_idx, u_idx)], stem, lm.t_path])
+        cycle = concat_paths([tf_o.q[_other(l_idx, u_idx)], Path(stem), lm.t_path])
         arm_l, w_l, _ = next(t for t in interior if t[2] == l_idx)
         pendant = _landing_pendant(tf_o.q[l_idx], arm_l, w_l, tf_o.hub, tf_o.x4)
     except _SPLICE_ERRORS as exc:
@@ -477,7 +450,7 @@ def claim3_assembly(
     the pendant.  None means the ordering hypothesis holds and the
     flower is next.
     """
-    tf_o, q1, rest = _one_q_path(
+    tf_o, qidx, widx, q1, rest = _one_q_path(
         tf, af, PreconditionViolated("claim3 expects all interior landings on one Q-path")
     )
     try:
@@ -485,15 +458,16 @@ def claim3_assembly(
         arm1, w1 = ws[0]
         u = lm.u
         pendant = _landing_pendant(q1, arm1, w1, tf_o.hub, tf_o.x4)
+        _, landing, stem = _q_stem(tf_o, af, qidx, widx, u)
         closing = rest[1]
         if u in q1:
             if all(q1.index(w) >= q1.index(u) for _, w in ws):
                 return None
         elif any(u in q for q in rest):
             closing = next(q for q in rest if u not in q)
-        elif _landing_arm(af, u).last == w1:
+        elif landing == w1:
             return None
-        cycle = concat_paths([closing, _contact_stem(tf_o, af, u)[1], lm.t_path])
+        cycle = concat_paths([closing, Path(stem), lm.t_path])
     except _SPLICE_ERRORS as exc:
         raise AssemblyFailed(f"claim3 pieces overlap: {exc}") from exc
     return _checked(g, tf_o, cycle, pendant, "claim3")
@@ -506,7 +480,9 @@ def build_flower(g: Graph, tf: TerminalFan, af: ApexFan, lm: Landmarks) -> Flowe
     Q-path, ordered away from x2 beyond u (or beyond u's own landing
     when u sits on the W-arm landing nearest x2).
     """
-    tf_o, q1, rest = _one_q_path(tf, af, FlowerInvalid("landings spread over several Q-paths"))
+    tf_o, _, _, q1, rest = _one_q_path(
+        tf, af, FlowerInvalid("landings spread over several Q-paths")
+    )
     if len(af.landings) < 2:
         raise FlowerInvalid("the flower needs two landings on Q1")
     x1, x2, x3, x4 = tf_o.x1, tf_o.hub, tf_o.x3, tf_o.x4
@@ -635,16 +611,14 @@ def assemble(g: Graph, tf: TerminalFan, af: ApexFan, l: Path) -> tuple[str, Kite
     pass one for an l they have found clear of p, so l is not tested
     again, and claim 1 is the only case run on it.
     """
-    if not af.landings or set(l.vertices).isdisjoint(af.p.vertices):
-        if af.landings or af.side != "kept":
-            af = ApexFan(af.p, (), "kept")
-        kite = crossing_assembly(g, tf, af, l)
-        if kite is None:  # with no landings, only an l that meets p has no stretch
-            raise PreconditionViolated("linkage path meets the apex arm, which has no landings")
-        return "claim1", kite
+    claim1 = not af.landings or set(l.vertices).isdisjoint(af.p.vertices)
+    if claim1 and (af.landings or af.side != "kept"):
+        af = ApexFan(af.p, (), "kept")
     kite = crossing_assembly(g, tf, af, l)
     if kite is not None:
-        return "crossing", kite
+        return ("claim1" if claim1 else "crossing"), kite
+    if claim1:  # with no landings, only an l that meets p has no stretch
+        raise PreconditionViolated("linkage path meets the apex arm, which has no landings")
     lm = compute_landmarks(l, tf, af)
     kite = claim2_assembly(g, tf, af, lm)
     if kite is not None:

@@ -19,6 +19,7 @@ from kitelink import constructor, linkage
 from kitelink.constructor import (
     ApexFan,
     FindKiteOptions,
+    Landmarks,
     apex_fan,
     assemble,
     build_flower,
@@ -403,6 +404,78 @@ def test_crossing_assembly_matches_the_rescan_and_five_path_splice():
     assert set(seen) == {
         KiteSubdivision, type(None), AssemblyFailed, InvariantViolation, PreconditionViolated
     }
+
+
+def _broken_apex_fans(af):
+    """The whole apex fan of a fixture and eleven variants of it, most
+    broken by hand."""
+    (w1, l1), w2, w3 = af.landings
+    ws = af.landings
+    return [
+        af,
+        ApexFan(af.p, ws, "swapped"),
+        ApexFan(af.p, (), "kept"),
+        ApexFan(af.p, ws[:1], "kept"),  # one landing only
+        ApexFan(af.p, ws[1:], "kept"),  # one landing dropped
+        ApexFan(af.p, ((w1.reverse(), l1), w2, w3), "kept"),
+        ApexFan(af.p, ((Path(w1.vertices[:-1]), l1), w2, w3), "kept"),  # cut short
+        ApexFan(af.p, ((w1, l1), (w2[0], l1), w3), "kept"),  # w2 moved onto w1's vertex
+        ApexFan(af.p, ws[1:] + ws[:1], "kept"),
+        ApexFan(af.p, ws[2:] + ws[:2], "kept"),
+        ApexFan(af.p.reverse(), ws, "kept"),
+    ]
+
+
+def test_claim_chain_outcomes_on_broken_apex_fans_are_pinned():
+    # Every simple x1-x3 path of three fixtures, both ways round, on
+    # whole and hand-broken apex fans: the landmarks, the three later
+    # stages on them, and assemble.  Each result's repr, or each
+    # exception's type and message, feeds one digest.  Anything but a
+    # StageFailure or PreconditionViolated escapes and fails the test,
+    # so no failed lookup can leak as a KeyError or StopIteration.
+    digest = hashlib.sha256()
+    seen = Counter()
+
+    def record(stage, *args):
+        try:
+            got = stage(*args)
+            line = repr(got)
+        except (StageFailure, PreconditionViolated) as exc:
+            got = None
+            line = f"{type(exc).__name__}: {exc}"
+            seen[type(exc).__name__] += 1
+        else:
+            seen[type(got).__name__] += 1
+        digest.update(line.encode() + b"\n")
+        return got
+
+    for fixture in (_two_sided_fixture, _one_sided_fixture, _late_p_contact_fixture):
+        g, tf, af = fixture()
+        ls = _simple_paths(g, 0, 2)
+        for fan in _broken_apex_fans(af):
+            for l in ls + [l.reverse() for l in ls]:
+                lm = record(compute_landmarks, l, tf, fan)
+                if lm is not None:
+                    for stage in (claim2_assembly, claim3_assembly, build_flower):
+                        record(stage, g, tf, fan, lm)
+                record(assemble, g, tf, fan, l)
+    assert seen == {
+        "OrderingViolated": 21726,
+        "AssemblyFailed": 21494,
+        "FlowerInvalid": 3486,
+        "NoneType": 3398,
+        "Landmarks": 3186,
+        "tuple": 2602,
+        "PreconditionViolated": 1398,
+        "KiteSubdivision": 1024,
+        "InvariantViolation": 910,
+        "Flower": 208,
+        "FlowerResolutionExhausted": 110,
+    }
+    assert sum(seen.values()) == 59542
+    assert digest.hexdigest() == (
+        "ba0a64194e6f3b3cebdf5720ec7c0639d9e70dae7f507191344d2de5bdbb47e9"
+    )
 
 
 # ------------------------------------------------------- claim assemblies
@@ -1013,6 +1086,36 @@ def test_resolve_flower_runs_at_most_four_searches(monkeypatch, n, offsets, root
     monkeypatch.setattr(constructor, "shortest_avoiding", counting)
     kite = resolve_flower(g, fl)
     assert 1 <= len(searches) <= 4
+    assert verify_kite(g, roots, kite)
+
+
+def _flower_gap():
+    """C16(1,2,3,4) with roots (0,4,1,12) and a linkage path whose
+    flower no cycle of resolve_flower closes: x4 sits on the c3 arc
+    that every candidate cycle takes."""
+    g = circulant(16, (1, 2, 3, 4))
+    roots = RootQuadruple(0, 4, 1, 12)
+    return g, roots, *_fans(g, roots), Path((0, 2, 15, 11, 8, 10, 13, 1))
+
+
+def test_the_flower_gap_host_reaches_its_flower():
+    g, roots, tf, af, l = _flower_gap()
+    lm = compute_landmarks(l, tf, af)
+    assert lm == Landmarks(
+        u=10, v=8, w=2, uprime=8, r1_index=1, t_path=Path((10, 8, 11, 15, 2, 0, 4))
+    )
+    assert claim2_assembly(g, tf, af, lm) is None
+    assert claim3_assembly(g, tf, af, lm) is None
+    fl = build_flower(g, tf, af, lm)
+    assert (fl.roots, fl.c1, fl.c2, fl.c3) == (roots, (0, 3, 4), (1, 4, 5), (6, 9, 12, 8, 10))
+    assert (fl.p1, fl.p2, fl.p3) == ((0, 2, 15, 11, 8), (4, 6), (1, 13, 9))
+    assert (fl.v1, fl.v2, fl.v3) == (8, 6, 9)
+
+
+@pytest.mark.xfail(raises=FlowerResolutionExhausted, reason="the open flower gap")
+def test_assemble_closes_the_flower_gap():
+    g, roots, tf, af, l = _flower_gap()
+    _, kite = assemble(g, tf, af, l)
     assert verify_kite(g, roots, kite)
 
 
