@@ -31,7 +31,7 @@ from .errors import (
 from .fans import find_fan, vertex_connectivity
 from .generators import gen_complete_minus_matching, gen_random_kconnected
 from .graphs import Graph, format_graph, graph_as_json, parse_graph, parse_graph_json
-from .harness import TrialConfig, report_lines, run_trials, stage_counts
+from .harness import GENERATORS, ROOT_POLICIES, TrialConfig, report_lines, run_trials, stage_counts
 from .linkage import two_linkage
 from .oracle import SearchBudget, find_kite_exhaustive, is_kite_linked
 from .structures import RootQuadruple, kite_from_json, verify_kite
@@ -113,7 +113,9 @@ def _cmd_kite_verify(args) -> int:
     g = _read_graph(args.graph)
     try:
         obj = json.loads(_read_text(args.kite))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer over Python's
+        # digit limit; nesting too deep for the parser is a RecursionError.
         raise MalformedLine(f"kite file is not JSON: {exc}") from None
     roots, kite = kite_from_json(obj)
     verdict = verify_kite(g, roots, kite)
@@ -157,7 +159,6 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    # Each trials option is named after the TrialConfig field it sets.
     config = TrialConfig(**{f.name: getattr(args, f.name) for f in fields(TrialConfig)})
     reports = run_trials(config)
     for line in report_lines(reports, timing=args.timing):
@@ -275,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen_random)
 
+    # One option per TrialConfig field, its type and default the field's;
+    # a bool, off by default, is a switch.
     p = sub.add_parser("trials", help="campaign runner emitting JSON lines")
-    p.add_argument("--generator", choices=("random", "kminusmatching"), default="random")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--k", type=int, default=7)
-    p.add_argument("--matching", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--roots", choices=("sampled", "exhaustive"), default="sampled")
-    p.add_argument("--oracle-fraction", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--timing", action="store_true")
+    choices = {"generator": tuple(GENERATORS), "roots": ROOT_POLICIES}
+    for f in fields(TrialConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            kind = type(f.default)
+            p.add_argument(flag, type=kind, default=f.default, choices=choices.get(f.name))
     p.set_defaults(func=_cmd_trials)
 
     p = sub.add_parser("selftest", help="small built-in battery")

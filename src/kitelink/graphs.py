@@ -26,7 +26,8 @@ from .errors import (
 # on K_{7,49993} with its hubs numbered last, 319 MB of it masks; at
 # this cap that K_{7,m} would hold about 1.3 GB of masks (not run).
 # The tier-1 tests build hosts of up to 1,504 vertices, and CI checks
-# the connectivity of hosts of 1,000 and 4,000.
+# the connectivity of hosts of 1,000 and 4,000.  The dense generators
+# are bounded by their vertex pairs (generators.MAX_PAIRS), not by this.
 MAX_VERTICES = 100_000
 
 
@@ -255,7 +256,9 @@ def parse_graph_json(obj: object) -> Graph:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # JSONDecodeError is a ValueError, as is an integer over Python's
+            # digit limit; nesting too deep for the parser is a RecursionError.
             raise MalformedLine(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise MalformedLine("JSON graph needs 'n' and 'edges' keys")

@@ -13,8 +13,9 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from collections import Counter
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator
 
 from .constructor import FindKiteOptions, find_kite
 from .errors import (
@@ -33,28 +34,38 @@ from .structures import RootQuadruple, verify_kite
 _ROOT_SALT = 0x9E3779B9
 _ORACLE_SALT = 7919
 
+# Each trial host generator by name, called with the config and the
+# trial's seed; the first is the default.
+GENERATORS: dict[str, Callable[[TrialConfig, int], Graph]] = {
+    "random": lambda config, seed: gen_random_kconnected(config.n, config.k, seed),
+    "kminusmatching": lambda config, seed: gen_complete_minus_matching(config.n, config.matching),
+}
+# Sampled roots draw one quadruple per trial, each on its own host;
+# exhaustive roots run every ordered quadruple of one host.
+ROOT_POLICIES = _SAMPLED, _EXHAUSTIVE = ("sampled", "exhaustive")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
-    generator: str = "random"  # "random" or "kminusmatching"
+    generator: str = next(iter(GENERATORS))
     n: int = 12
     k: int = 7
     matching: int = 0
     trials: int = 10
     seed: int = 0
-    roots: str = "sampled"  # "sampled" or "exhaustive"
+    roots: str = _SAMPLED
     oracle_fraction: float = 0.0
     budget: int = DEFAULT_BUDGET
     timing: bool = False
 
     def __post_init__(self):
-        if self.generator not in ("random", "kminusmatching"):
+        if self.generator not in GENERATORS:
             raise PreconditionViolated(f"unknown generator {self.generator!r}")
         if self.n < 4:
             raise GraphTooSmall(f"four distinct roots need at least 4 vertices, got {self.n}")
-        if self.roots not in ("sampled", "exhaustive"):
+        if self.roots not in ROOT_POLICIES:
             raise PreconditionViolated(f"unknown root policy {self.roots!r}")
-        if self.roots == "sampled" and self.trials < 1:
+        if self.roots == _SAMPLED and self.trials < 1:
             raise PreconditionViolated("need at least one trial")
         if not 0.0 <= self.oracle_fraction <= 1.0:
             raise PreconditionViolated("oracle fraction must sit in [0, 1]")
@@ -78,22 +89,13 @@ class TrialReport:
     wall_ms: float | None
 
     def as_json(self, timing: bool = False) -> dict:
+        """The fields in order, index as "trial"; wall_ms only when timed."""
         out = {
-            "trial": self.index,
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "roots": list(self.roots),
-            "outcome": self.outcome,
-            "stage": self.stage,
-            "verified": self.verified,
-            "oracle_checked": self.oracle_checked,
-            "oracle_agrees": self.oracle_agrees,
-            "error": self.error,
-            "kite": self.kite,
+            "trial" if f.name == "index" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if timing or f.name != "wall_ms"
         }
-        if timing:
-            out["wall_ms"] = self.wall_ms
+        out["roots"] = list(self.roots)
         return out
 
 
@@ -101,23 +103,17 @@ def _trial_seed(config: TrialConfig, index: int) -> int:
     return config.seed * 1_000_003 + index
 
 
-def _make_graph(config: TrialConfig, seed: int) -> Graph:
-    if config.generator == "kminusmatching":
-        return gen_complete_minus_matching(config.n, config.matching)
-    return gen_random_kconnected(config.n, config.k, seed)
-
-
 def _tasks(config: TrialConfig) -> Iterator[tuple[int, Graph, int, RootQuadruple]]:
     """Each trial's task in trial order, its host built only when reached."""
-    if config.roots == "exhaustive":
+    if config.roots == _EXHAUSTIVE:
         seed = _trial_seed(config, 0)
-        g = _make_graph(config, seed)
+        g = GENERATORS[config.generator](config, seed)
         for i, roots in enumerate(itertools.permutations(range(g.n), 4)):
             yield i, g, seed, RootQuadruple(*roots)
         return
     for i in range(config.trials):
         seed = _trial_seed(config, i)
-        g = _make_graph(config, seed)
+        g = GENERATORS[config.generator](config, seed)
         roots = random.Random(seed ^ _ROOT_SALT).sample(range(g.n), 4)
         yield i, g, seed, RootQuadruple(*roots)
 
@@ -174,11 +170,7 @@ def run_trials(config: TrialConfig) -> list[TrialReport]:
 
 def stage_counts(reports: list[TrialReport]) -> dict[str, int]:
     """How many trials each stage settled; failures count as 'failure'."""
-    out: dict[str, int] = {}
-    for r in reports:
-        key = r.stage if r.outcome == "success" else "failure"
-        out[key] = out.get(key, 0) + 1
-    return out
+    return dict(Counter(r.stage if r.outcome == "success" else "failure" for r in reports))
 
 
 def report_lines(reports: list[TrialReport], timing: bool = False):

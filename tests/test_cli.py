@@ -4,6 +4,7 @@ real pipe is needed."""
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +20,13 @@ from kitelink.errors import FlowerResolutionExhausted
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph, format_graph, graph_as_json
 from kitelink.harness import TrialConfig
+
+
+# JSON nested past any recursion limit, and an integer of 5,001 digits,
+# past Python's default limit for converting one.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LONG = "1" + "0" * 5_000
+_DIGIT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG)
 
 
 def _write_graph(tmp_path, g, name="g.txt"):
@@ -97,6 +105,11 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
         '{"n": 3, "edges": null}',
         '{"n": 3, "edges": 7}',
         '{"n": 3, "edges": [[0, 1], [true, 2]]}',
+        pytest.param('{"n": 1, "edges": %s}' % _DEEP, id="deep"),
+        pytest.param(
+            '{"n": %s, "edges": []}' % _LONG, id="long-integer",
+            marks=pytest.mark.skipif(not _DIGIT_LIMITED, reason="no integer digit limit"),
+        ),
     ],
 )
 def test_malformed_json_graph_exits_2(tmp_path, capsys, payload):
@@ -105,6 +118,23 @@ def test_malformed_json_graph_exits_2(tmp_path, capsys, payload):
     code, out, err = _run(capsys, "conn", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_long_json_integer_exits_2_without_the_digit_limit(tmp_path, capsys):
+    # Where Python converts integers of any length, the vertex cap refuses
+    # the count.
+    path = tmp_path / "long.json"
+    path.write_text('{"n": %s, "edges": []}' % _LONG)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = _run(capsys, "conn", str(path))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: vertex count {_LONG} outside")
 
 
 def test_vertex_count_over_the_cap_exits_2(tmp_path, capsys):
@@ -126,6 +156,20 @@ def test_generators_over_the_vertex_cap_exit_2(capsys, monkeypatch):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: vertex count 11 outside 0..10\n"
+
+
+def test_generators_over_the_pair_bound_exit_2(capsys, monkeypatch):
+    n = next(n for n in itertools.count() if n * (n - 1) // 2 > generators.MAX_PAIRS)
+    monkeypatch.setattr(generators, "Graph", None)  # never reached
+    monkeypatch.setattr(generators, "_pair_draws", None)  # never reached
+    for argv in (
+        ("gen", "kminusmatching", str(n), "0"),
+        ("gen", "random", str(n), "7", "0"),
+        ("trials", "--n", str(n)),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {n} vertices make ") and err.count("\n") == 1
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -223,6 +267,12 @@ def test_kite_find_verify_roundtrip(tmp_path, capsys):
         '{"roots": [0, 1, 2, 3.9], "cycle": [0, 1, 2], "pendant": [1, 3]}',
         '{"roots": [0, true, 2, 3], "cycle": [0, 1, 2], "pendant": [1, 3]}',
         '{"roots": [0, 1, 2, 3], "cycle": [0, true, 2], "pendant": [true, 3]}',
+        pytest.param('{"roots": %s, "cycle": [0, 1, 2], "pendant": [1, 3]}' % _DEEP, id="deep"),
+        pytest.param(
+            '{"roots": [%s, 1, 2, 3], "cycle": [0, 1, 2], "pendant": [1, 3]}' % _LONG,
+            id="long-integer",
+            marks=pytest.mark.skipif(not _DIGIT_LIMITED, reason="no integer digit limit"),
+        ),
     ],
 )
 def test_kite_verify_malformed_kite_file_exits_2(tmp_path, capsys, payload):

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 
 import pytest
 
@@ -104,6 +104,22 @@ def test_generators_check_the_vertex_cap_before_allocating(monkeypatch):
         gen_complete_minus_matching(11, 0)
     with pytest.raises(VertexOutOfRange):
         gen_random_kconnected(11, 7, 0)
+
+
+def test_generators_check_the_pair_bound_before_allocating(monkeypatch):
+    # The first n past MAX_PAIRS, well inside the vertex cap: a generator
+    # may neither build its pairs nor draw.
+    def unreachable(*args):
+        raise AssertionError("allocated past the pair bound")
+
+    n = next(n for n in count() if n * (n - 1) // 2 > generators.MAX_PAIRS)
+    assert n <= graphs.MAX_VERTICES
+    monkeypatch.setattr(generators, "Graph", unreachable)
+    monkeypatch.setattr(generators, "_pair_draws", unreachable)
+    with pytest.raises(VertexOutOfRange, match="vertex pairs"):
+        gen_complete_minus_matching(n, 0)
+    with pytest.raises(VertexOutOfRange, match="vertex pairs"):
+        gen_random_kconnected(n, 7, 0)
 
 
 def _counter_filter_generator(n: int, k: int, seed: int) -> Graph | None:

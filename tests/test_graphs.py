@@ -3,6 +3,8 @@ shortest paths."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,14 @@ def test_json_roundtrip_and_rejections():
         '{"n": 3, "edges": [[true, 2]]}',
         '{"n": 3, "edges": [[0, false]]}',
     ):
+        with pytest.raises(MalformedLine):
+            parse_graph_json(text)
+    # Nesting past any recursion limit, and an integer past Python's digit
+    # limit for converting one, where it has a limit.
+    texts = ['{"n": 1, "edges": %s}' % ("[" * 100_000 + "]" * 100_000)]
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_001:
+        texts.append('{"n": 1%s, "edges": []}' % ("0" * 5_000))
+    for text in texts:
         with pytest.raises(MalformedLine):
             parse_graph_json(text)
 

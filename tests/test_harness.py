@@ -1,12 +1,13 @@
 """Tests for the campaign runner."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from kitelink import harness
 from kitelink.errors import GraphTooSmall, PreconditionViolated
-from kitelink.harness import TrialConfig, report_lines, run_trials, stage_counts
+from kitelink.harness import TrialConfig, TrialReport, report_lines, run_trials, stage_counts
 
 
 def test_config_rejects_unknown_generator():
@@ -122,17 +123,20 @@ def test_stage_counts_total_matches_reports():
 def test_report_lines_shape_and_timing_key():
     config = TrialConfig(generator="random", n=10, trials=2, seed=5)
     reports = run_trials(config)
-    keys = {
+    keys = [
         "trial", "n", "m", "seed", "roots", "outcome", "stage",
         "verified", "oracle_checked", "oracle_agrees", "error", "kite",
-    }
+    ]
     for line in report_lines(reports):
         obj = json.loads(line)
-        assert set(obj) == keys
+        assert list(obj) == keys
+    # Timed, the keys still come in field order, "trial" (the index)
+    # first and wall_ms last.
+    assert [f.name for f in fields(TrialReport)] == ["index", *keys[1:], "wall_ms"]
     timed = run_trials(TrialConfig(generator="random", n=10, trials=2, seed=5, timing=True))
     for line in report_lines(timed, timing=True):
         obj = json.loads(line)
-        assert set(obj) == keys | {"wall_ms"}
+        assert list(obj) == keys + ["wall_ms"]
         assert obj["wall_ms"] >= 0.0
 
 
@@ -143,8 +147,8 @@ def test_hosts_are_built_as_trials_reach_them(monkeypatch):
         built.append(seed)
         return make_graph(config, seed)
 
-    make_graph = harness._make_graph
-    monkeypatch.setattr(harness, "_make_graph", counting)
+    make_graph = harness.GENERATORS["random"]
+    monkeypatch.setitem(harness.GENERATORS, "random", counting)
     tasks = harness._tasks(TrialConfig(generator="random", n=10, trials=5, seed=4))
     assert built == []
     first = next(tasks)
