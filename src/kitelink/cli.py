@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 
 from .constructor import FindKiteOptions, find_kite
@@ -31,7 +32,7 @@ from .errors import (
 from .fans import find_fan, vertex_connectivity
 from .generators import gen_complete_minus_matching, gen_random_kconnected
 from .graphs import Graph, format_graph, graph_as_json, parse_graph, parse_graph_json
-from .harness import GENERATORS, ROOT_POLICIES, TrialConfig, report_lines, run_trials, stage_counts
+from .harness import GENERATORS, ROOT_POLICIES, TrialConfig, iter_trials, report_lines, stage_counts
 from .linkage import two_linkage
 from .oracle import SearchBudget, find_kite_exhaustive, is_kite_linked
 from .structures import RootQuadruple, kite_from_json, verify_kite
@@ -160,12 +161,15 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_trials(args) -> int:
     config = TrialConfig(**{f.name: getattr(args, f.name) for f in fields(TrialConfig)})
-    reports = run_trials(config)
-    for line in report_lines(reports, timing=args.timing):
-        print(line)
+    stages: Counter[str] = Counter()
+    for report in iter_trials(config):
+        # Flushed line by line: a reader sees each trial as it finishes,
+        # and a closed pipe stops the campaign at the next line.
+        print(*report_lines([report], timing=args.timing), flush=True)
+        stages.update(stage_counts([report]))
     if not args.quiet:
-        print(f"stages: {json.dumps(stage_counts(reports), sort_keys=True)}", file=sys.stderr)
-    return 0 if all(r.outcome == "success" for r in reports) else 1
+        print(f"stages: {json.dumps(stages, sort_keys=True)}", file=sys.stderr)
+    return 1 if stages["failure"] else 0
 
 
 def _cmd_selftest(args) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import compress
+from math import ceil
 from operator import itemgetter
 
 from .errors import GenerationExhausted, PreconditionViolated, VertexOutOfRange
@@ -21,10 +22,11 @@ _TRIES_PER_DENSITY = 8
 # every pair, so their memory grows with n², and graphs.MAX_VERTICES
 # alone would let them ask for about 5 billion pairs.
 # At this bound peak RSS (resource.getrusage, Python 3.11 on a 2-core
-# Xeon) was 224 MB for K_1414 (0.67 s) and 229 MB for
-# gen_random_kconnected(1414, 7, 1) (0.69 s), against 119 and 122 MB at
-# n = 1,000; at n = 10,000 it would be about 10 GB (extrapolated, not
-# run).  No test or benchmark workload builds more than 80 vertices.
+# Xeon) was 229 MB for K_1414 (0.68-0.74 s) and 255 MB for
+# gen_random_kconnected(1414, 7, 1) (0.75-0.84 s), against 135 MB for
+# the latter at n = 1,000; at n = 10,000 it would be about 10 GB
+# (extrapolated, not run).  No test or benchmark workload builds more
+# than 80 vertices.
 MAX_PAIRS = 1_000_000
 
 
@@ -59,21 +61,24 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     read vertex by vertex from those draws, and it is rejected at its
     first vertex of degree below k, before a Graph is built.  The vertex
     cap and MAX_PAIRS are checked before any pair is built, and the
-    pairs and getters, which depend on n alone, are built once per n and
-    cached.  On a 2-core Xeon it takes a median 0.2 ms at n = 14,
-    0.31-0.45 ms at n = 40 and 1.2 ms at n = 80 (k = 7, seeds 0-199,
-    0-49 and 0-9).
+    pairs, getters and lane masks, which depend on n alone, are cached
+    for the last n.  A candidate's draws are one getrandbits call, and
+    each keep flag is exactly the rng.random() < p of a draw per pair.
+    On a 2-core Xeon it takes a median 0.13-0.20 ms at n = 14, 0.27 ms
+    at n = 40 and 0.95-0.99 ms at n = 80 (k = 7, seeds 0-199, 0-49 and
+    0-9; six runs).
     """
     if n < k + 1:
         raise PreconditionViolated(f"no graph on {n} vertices is {k}-connected")
     _check_pair_count(n)
-    pairs, degrees = _pair_draws(n)
-    rng = random.Random(seed)
-    rand = rng.random
+    pairs, degrees, low, high = _pair_draws(n)
+    m = len(pairs)
+    draw = random.Random(seed).getrandbits
     for p in _DENSITY_SCHEDULE:
+        offset = _lane_offset(p, m)
         for _ in range(_TRIES_PER_DENSITY):
-            keep = [rand() < p for _ in pairs]
-            if any(deg(keep).count(True) < k for deg in degrees):
+            keep = _keep_flags(draw(64 * m), low, high, offset, m)
+            if any(deg(keep).count(1) < k for deg in degrees):
                 continue  # rejected at its first short vertex, with no Graph built
             g = Graph(n, compress(pairs, keep))
             if has_connectivity_at_least(g, k):
@@ -95,11 +100,51 @@ def _check_pair_count(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=4)
-def _pair_draws(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
-    """The vertex pairs u < v that a candidate draws for, in draw order,
-    and per vertex a getter of the draws for its pairs.  They depend on
-    n alone, and a campaign asks for one n over and over."""
+# One getrandbits(64 * m) call consumes the same Mersenne Twister words,
+# in the same order, as m random() calls, and fills them least
+# significant first: lane i, bits 64i to 64i + 63, holds the i-th call's
+# words a (low half) and b (high half).  That call returns x / 2**53 with
+# x = (a >> 5) * 2**26 + (b >> 6), so random() < p exactly when x is
+# below T = ceil(p * 2**53).  These 8-byte patterns, repeated once per
+# lane, mask a's top 27 bits and b's top 26.
+_LOW_LANE = (0xFFFF_FFE0).to_bytes(8, "little")
+_HIGH_LANE = (0xFFFF_FFC0 << 32).to_bytes(8, "little")
+# A lane's bit 53 is bit 5 of its byte 6; it is clear, and the pair kept,
+# exactly when x < T.
+_KEPT = bytes(0 if b & 0x20 else 1 for b in range(256))
+
+
+def _lanes(pattern: bytes, m: int) -> int:
+    """The 8-byte pattern in each of m lanes.  Built from one repeated
+    byte string: OR-ing m shifted terms takes time quadratic in m."""
+    return int.from_bytes(pattern * m, "little")
+
+
+def _lane_offset(p: float, m: int) -> int:
+    """2**53 - T, T = ceil(p * 2**53), in each of m lanes: added to a
+    lane's x, it sets the lane's bit 53 exactly when x >= T, and the sum
+    stays below 2**54, so no carry crosses into the next lane."""
+    return _lanes(((1 << 53) - ceil(p * (1 << 53))).to_bytes(8, "little"), m)
+
+
+def _keep_flags(r: int, low: int, high: int, offset: int, m: int) -> bytes:
+    """One byte per lane of the drawn int r: 1 where the lane's x is
+    below T, as random() < p would be, and 0 elsewhere.  low and high
+    are _LOW_LANE and _HIGH_LANE in m lanes, offset is _lane_offset(p, m)."""
+    x = (r & low) << 21 | (r & high) >> 38
+    return (x + offset).to_bytes(8 * m, "little")[6::8].translate(_KEPT)
+
+
+# One vertex count only: a campaign asks for one n over and over, and
+# each cached n stays resident after gen_random_kconnected returns, 36 MB
+# at n = 600 and 202 MB at n = 1,414 (resident set after gc.collect(),
+# less that before the call; Python 3.11).
+@lru_cache(maxsize=1)
+def _pair_draws(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...], int, int]:
+    """The vertex pairs u < v that a candidate draws for, in draw order;
+    per vertex a getter of the keep flags for its pairs; and the lane
+    masks _LOW_LANE and _HIGH_LANE, one lane per pair.  They depend on
+    n alone."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
@@ -108,4 +153,6 @@ def _pair_draws(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, 
     # With n <= 2 a vertex has at most one pair, which itemgetter returns
     # bare, and the minimum-degree test of the connectivity check filters
     # alone.
-    return tuple(pairs), tuple(itemgetter(*idx) for idx in incident) if n > 2 else ()
+    degrees = tuple(itemgetter(*idx) for idx in incident) if n > 2 else ()
+    m = len(pairs)
+    return tuple(pairs), degrees, _lanes(_LOW_LANE, m), _lanes(_HIGH_LANE, m)

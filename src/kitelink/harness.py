@@ -4,7 +4,7 @@ report as JSON lines.
 Reports are byte-deterministic for a fixed config: wall-clock time is
 only recorded when timing is requested, and everything else is a pure
 function of the seed.  Trials run one after another and reports come
-back in trial order.
+back in trial order, from iter_trials as each trial finishes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .constructor import FindKiteOptions, find_kite
 from .errors import (
@@ -163,16 +163,21 @@ def _run_one(task: tuple[int, Graph, int, RootQuadruple], config: TrialConfig) -
     )
 
 
+def iter_trials(config: TrialConfig) -> Iterator[TrialReport]:
+    """The campaign's reports in trial order, each as its trial finishes."""
+    return (_run_one(t, config) for t in _tasks(config))
+
+
 def run_trials(config: TrialConfig) -> list[TrialReport]:
     """Execute the whole campaign; one report per trial, in trial order."""
-    return [_run_one(t, config) for t in _tasks(config)]
+    return list(iter_trials(config))
 
 
-def stage_counts(reports: list[TrialReport]) -> dict[str, int]:
+def stage_counts(reports: Iterable[TrialReport]) -> dict[str, int]:
     """How many trials each stage settled; failures count as 'failure'."""
     return dict(Counter(r.stage if r.outcome == "success" else "failure" for r in reports))
 
 
-def report_lines(reports: list[TrialReport], timing: bool = False):
+def report_lines(reports: Iterable[TrialReport], timing: bool = False) -> Iterator[str]:
     for r in reports:
         yield json.dumps(r.as_json(timing), separators=(",", ":"))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import joined_rings, separates
-from kitelink import constructor, generators, graphs
+from kitelink import constructor, generators, graphs, harness
 from kitelink.cli import build_parser, main
 from kitelink.errors import FlowerResolutionExhausted
 from kitelink.generators import gen_complete_minus_matching
@@ -484,6 +484,23 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 6
     assert all(line.startswith("ok") for line in lines)
+
+
+def test_trials_writes_each_report_as_its_trial_finishes(monkeypatch):
+    # Before each trial runs, every earlier trial's line is already out.
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []
+    run_one = harness._run_one
+
+    def counting(task, config):
+        written.append(out.getvalue().count("\n"))
+        return run_one(task, config)
+
+    monkeypatch.setattr(harness, "_run_one", counting)
+    assert main(["trials", "--n", "10", "--trials", "3", "--seed", "1"]) == 0
+    assert written == [0, 1, 2]
+    assert out.getvalue().count("\n") == 3
 
 
 def test_closed_pipe_stops_quietly_with_exit_141():

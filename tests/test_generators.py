@@ -1,6 +1,7 @@
 """Tests for the instance generators."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 from itertools import chain, count
@@ -149,3 +150,50 @@ def test_random_generator_matches_the_counter_filter(n, k, seeds):
         g = gen_random_kconnected(n, k, seed)
         want = _counter_filter_generator(n, k, seed)
         assert (g.n, g.edges) == (want.n, want.edges)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 14, 40, 100])
+def test_keep_flags_match_the_random_loop(n):
+    # The kernel against the per-pair loop it replaced, candidate after
+    # candidate on twin generators: every density of the schedule and 50
+    # seeded random ones, the same flags and the same state afterwards.
+    pairs, _, low, high = generators._pair_draws(n)
+    m = len(pairs)
+    densities = generators._DENSITY_SCHEDULE + tuple(random.Random(n).random() for _ in range(50))
+    offsets = [generators._lane_offset(p, m) for p in densities]
+    for seed in range(200):
+        loop, kernel = random.Random(seed), random.Random(seed)
+        for p, offset in zip(densities, offsets):
+            want = [loop.random() < p for _ in pairs]
+            keep = generators._keep_flags(kernel.getrandbits(64 * m), low, high, offset, m)
+            assert keep == bytes(want)
+        assert kernel.getstate() == loop.getstate()
+
+
+def test_keep_flags_split_at_the_threshold():
+    # Hand-built words whose x sits at T - 1, T and T + 1 for each
+    # density, T = ceil(p * 2**53); the low bits random() discards are
+    # filled with noise.  x = 2**53 - 1, the largest draw, is kept at
+    # p = 1.0, and x = 0 at every density.
+    noise = random.Random(0)
+    for p in generators._DENSITY_SCHEDULE:
+        t = math.ceil(p * 2**53)
+        xs = [x for x in (0, t - 1, t, t + 1, 2**53 - 1) if x < 2**53]
+        r = 0
+        for i, x in enumerate(xs):
+            a = (x >> 26) << 5 | noise.getrandbits(5)
+            b = (x & (2**26 - 1)) << 6 | noise.getrandbits(6)
+            r |= (a | b << 32) << (64 * i)
+        m = len(xs)
+        low = generators._lanes(generators._LOW_LANE, m)
+        high = generators._lanes(generators._HIGH_LANE, m)
+        keep = generators._keep_flags(r, low, high, generators._lane_offset(p, m), m)
+        assert keep == bytes(x / 2**53 < p for x in xs) == bytes(x < t for x in xs)
+        if p == 1.0:
+            assert keep == bytes([1] * m)
+
+
+def test_pair_cache_holds_one_vertex_count():
+    gen_random_kconnected(14, 7, 0)
+    gen_random_kconnected(12, 7, 0)
+    assert generators._pair_draws.cache_info().currsize == 1
