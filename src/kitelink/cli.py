@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fans import find_fan, vertex_connectivity
 from .generators import gen_complete_minus_matching, gen_random_kconnected
-from .graphs import Graph, format_graph, graph_as_json, parse_graph, parse_graph_json
+from .graphs import Graph, format_graph, graph_as_json, load_json, parse_graph, parse_graph_json
 from .harness import GENERATORS, ROOT_POLICIES, TrialConfig, iter_trials, report_lines, stage_counts
 from .linkage import two_linkage
 from .oracle import SearchBudget, find_kite_exhaustive, is_kite_linked
@@ -112,13 +112,7 @@ def _cmd_kite_find(args) -> int:
 
 def _cmd_kite_verify(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        obj = json.loads(_read_text(args.kite))
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError is a ValueError, as is an integer over Python's
-        # digit limit; nesting too deep for the parser is a RecursionError.
-        raise MalformedLine(f"kite file is not JSON: {exc}") from None
-    roots, kite = kite_from_json(obj)
+    roots, kite = kite_from_json(load_json(_read_text(args.kite), "kite file is not JSON"))
     verdict = verify_kite(g, roots, kite)
     _emit(args, {"valid": bool(verdict), "reason": verdict.reason})
     return 0 if verdict else 1

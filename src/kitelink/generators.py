@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from math import ceil
 from operator import itemgetter
 
@@ -17,14 +17,14 @@ from .graphs import Graph, check_vertex_count
 _DENSITY_SCHEDULE = (0.55, 0.65, 0.75, 0.85, 0.95, 1.0)
 _TRIES_PER_DENSITY = 8
 
-# The most vertex pairs a dense generator builds, so n <= 1,414, checked
-# with the vertex cap before any pair is built.  Both generators build
-# every pair, so their memory grows with n², and graphs.MAX_VERTICES
-# alone would let them ask for about 5 billion pairs.
-# At this bound peak RSS (resource.getrusage, Python 3.11 on a 2-core
-# Xeon) was 229 MB for K_1414 (0.68-0.74 s) and 255 MB for
-# gen_random_kconnected(1414, 7, 1) (0.75-0.84 s), against 135 MB for
-# the latter at n = 1,000; at n = 10,000 it would be about 10 GB
+# The most vertex pairs a dense generator draws or keeps, so n <= 1,414,
+# checked with the vertex cap before any pair is enumerated.  Both
+# generators enumerate every pair, so their time and memory grow with
+# n², and graphs.MAX_VERTICES alone would let them ask for about 5
+# billion pairs.  At this bound peak RSS (resource.getrusage, Python 3.11
+# on a 2-core Xeon) was 50 MB for K_1414 (0.42 s) and 137 MB for
+# gen_random_kconnected(1414, 7, 1) (0.48-0.51 s), against 76 MB for
+# the latter at n = 1,000; at n = 10,000 it would be about 6 GB
 # (extrapolated, not run).  No test or benchmark workload builds more
 # than 80 vertices.
 MAX_PAIRS = 1_000_000
@@ -42,13 +42,7 @@ def gen_complete_minus_matching(n: int, m: int) -> Graph:
         raise PreconditionViolated(f"matching of size {m} does not fit in {n} vertices")
     _check_pair_count(n)
     removed = {(2 * i, 2 * i + 1) for i in range(m)}
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in removed
-    ]
-    return Graph(n, edges)
+    return Graph(n, (e for e in combinations(range(n), 2) if e not in removed))
 
 
 def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
@@ -60,19 +54,19 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     graph.  A candidate is one draw per vertex pair; its degrees are
     read vertex by vertex from those draws, and it is rejected at its
     first vertex of degree below k, before a Graph is built.  The vertex
-    cap and MAX_PAIRS are checked before any pair is built, and the
-    pairs, getters and lane masks, which depend on n alone, are cached
-    for the last n.  A candidate's draws are one getrandbits call, and
-    each keep flag is exactly the rng.random() < p of a draw per pair.
-    On a 2-core Xeon it takes a median 0.13-0.20 ms at n = 14, 0.27 ms
-    at n = 40 and 0.95-0.99 ms at n = 80 (k = 7, seeds 0-199, 0-49 and
-    0-9; six runs).
+    cap and MAX_PAIRS are checked before any pair is enumerated, and
+    the degree getters and lane masks, which depend on n alone, are
+    cached for the last n; the pairs themselves are enumerated afresh,
+    by combinations, for each candidate that is built.  A candidate's
+    draws are one getrandbits call, and each keep flag is exactly the
+    rng.random() < p of a draw per pair.  On a 2-core Xeon it takes a
+    median 0.13 ms at n = 14, 0.24 ms at n = 40 and 0.83-0.85 ms at
+    n = 80 (k = 7, seeds 0-199, 0-49 and 0-9; six runs).
     """
     if n < k + 1:
         raise PreconditionViolated(f"no graph on {n} vertices is {k}-connected")
-    _check_pair_count(n)
-    pairs, degrees, low, high = _pair_draws(n)
-    m = len(pairs)
+    m = _check_pair_count(n)
+    degrees, low, high = _pair_draws(n, m)
     draw = random.Random(seed).getrandbits
     for p in _DENSITY_SCHEDULE:
         offset = _lane_offset(p, m)
@@ -80,7 +74,7 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
             keep = _keep_flags(draw(64 * m), low, high, offset, m)
             if any(deg(keep).count(1) < k for deg in degrees):
                 continue  # rejected at its first short vertex, with no Graph built
-            g = Graph(n, compress(pairs, keep))
+            g = Graph(n, compress(combinations(range(n), 2), keep))
             if has_connectivity_at_least(g, k):
                 return g
     raise GenerationExhausted(
@@ -88,9 +82,9 @@ def gen_random_kconnected(n: int, k: int, seed: int) -> Graph:
     )
 
 
-def _check_pair_count(n: int) -> None:
-    """Raise VertexOutOfRange unless n passes the vertex cap and its
-    n(n-1)/2 vertex pairs number at most MAX_PAIRS."""
+def _check_pair_count(n: int) -> int:
+    """The number of vertex pairs, n(n-1)/2; raises VertexOutOfRange
+    unless n passes the vertex cap and that number is at most MAX_PAIRS."""
     check_vertex_count(n)
     pairs = n * (n - 1) // 2
     if pairs > MAX_PAIRS:
@@ -98,6 +92,7 @@ def _check_pair_count(n: int) -> None:
             f"{n} vertices make {pairs} vertex pairs, more than the {MAX_PAIRS} "
             "a dense generator builds"
         )
+    return pairs
 
 
 # One getrandbits(64 * m) call consumes the same Mersenne Twister words,
@@ -136,23 +131,24 @@ def _keep_flags(r: int, low: int, high: int, offset: int, m: int) -> bytes:
 
 
 # One vertex count only: a campaign asks for one n over and over, and
-# each cached n stays resident after gen_random_kconnected returns, 36 MB
-# at n = 600 and 202 MB at n = 1,414 (resident set after gc.collect(),
-# less that before the call; Python 3.11).
+# the cached n stays resident after gen_random_kconnected returns: its
+# n getters, which hold the n(n-1)/2 pair indices twice over, and two
+# lane masks of 8 bytes a pair.  That is 16 MB at n = 600 and 83 MB at
+# n = 1,414 (resident set after gc.collect(), less that before the
+# call; Python 3.11).
 @lru_cache(maxsize=1)
-def _pair_draws(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...], int, int]:
-    """The vertex pairs u < v that a candidate draws for, in draw order;
-    per vertex a getter of the keep flags for its pairs; and the lane
-    masks _LOW_LANE and _HIGH_LANE, one lane per pair.  They depend on
-    n alone."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _pair_draws(n: int, m: int) -> tuple[tuple[itemgetter, ...], int, int]:
+    """Per vertex a getter of the keep flags for its pairs, and the lane
+    masks _LOW_LANE and _HIGH_LANE in m = n(n-1)/2 lanes, one per pair.
+    A candidate draws for the pairs u < v in the order
+    combinations(range(n), 2) yields them, and the getters number the
+    pairs in that order."""
     incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
         incident[u].append(i)
         incident[v].append(i)
     # With n <= 2 a vertex has at most one pair, which itemgetter returns
     # bare, and the minimum-degree test of the connectivity check filters
     # alone.
     degrees = tuple(itemgetter(*idx) for idx in incident) if n > 2 else ()
-    m = len(pairs)
-    return tuple(pairs), degrees, _lanes(_LOW_LANE, m), _lanes(_HIGH_LANE, m)
+    return degrees, _lanes(_LOW_LANE, m), _lanes(_HIGH_LANE, m)

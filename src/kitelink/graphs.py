@@ -21,10 +21,11 @@ from .errors import (
 # allocated.  It bounds the per-vertex lists, not the adjacency
 # bitmasks the edges fill: a mask is as wide as its vertex's highest
 # neighbour, so all masks together can take n² bits.  Building a Graph
-# raised peak memory (resource.getrusage, Python 3.11 on a 2-core
-# Xeon) by 85 MB on C_32000(1,2,3,4), 66 MB of it masks, and by 365 MB
-# on K_{7,49993} with its hubs numbered last, 319 MB of it masks; at
-# this cap that K_{7,m} would hold about 1.3 GB of masks (not run).
+# from a ready edge list raised peak memory (resource.getrusage, Python
+# 3.11 on a 2-core Xeon) by 75 MB on C_32000(1,2,3,4) in 0.12-0.14 s,
+# 66 MB of it masks, and by 339 MB on K_{7,49993} with its hubs
+# numbered last in 0.54 s, 319 MB of it masks; at this cap that K_{7,m}
+# would hold about 1.3 GB of masks (not run).
 # The tier-1 tests build hosts of up to 1,504 vertices, and CI checks
 # the connectivity of hosts of 1,000 and 4,000.  The dense generators
 # are bounded by their vertex pairs (generators.MAX_PAIRS), not by this.
@@ -40,18 +41,20 @@ def check_vertex_count(n: int) -> None:
 class Graph:
     """An immutable simple undirected graph.
 
-    Each vertex's adjacency bitmask is built with its neighbour tuple.
-    Equality and hashing ignore both.
+    Each vertex's adjacency bitmask is built with its neighbour tuple,
+    and the edge list is read off the neighbour tuples.  Equality and
+    hashing read the neighbour tuples, one per vertex, so two graphs are
+    equal exactly when they have the same n and the same edges.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_masks")
+    __slots__ = ("n", "m", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_vertex_count(n)
         self.n = n
-        keys: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]
         masks = [0] * n
+        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
@@ -59,24 +62,22 @@ class Graph:
                 raise LoopEdge(f"loop at vertex {u}")
             if masks[u] >> v & 1:
                 continue
-            keys.append((u, v) if u < v else (v, u))
+            m += 1
             adj[u].append(v)
             adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(keys))
+        self.m = m
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._masks: tuple[int, ...] = tuple(masks)
 
     @property
-    def m(self) -> int:
-        return len(self._edges)
-
-    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Every edge (u, v), u < v, in increasing order, read off the
+        sorted neighbour tuples."""
+        return tuple((u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -100,14 +101,10 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -251,15 +248,21 @@ def format_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def load_json(text: str, what: str) -> object:
+    """json.loads(text); text the parser rejects raises MalformedLine
+    with the message f"{what}: {error}"."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError is a ValueError, as is an integer over Python's
+        # digit limit; nesting too deep for the parser is a RecursionError.
+        raise MalformedLine(f"{what}: {e}") from None
+
+
 def parse_graph_json(obj: object) -> Graph:
     """Parse the JSON form (a dict or a JSON string)."""
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except (ValueError, RecursionError) as e:
-            # JSONDecodeError is a ValueError, as is an integer over Python's
-            # digit limit; nesting too deep for the parser is a RecursionError.
-            raise MalformedLine(f"invalid JSON: {e}") from None
+        obj = load_json(obj, "invalid JSON")
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise MalformedLine("JSON graph needs 'n' and 'edges' keys")
     n, items = obj["n"], obj["edges"]

@@ -23,6 +23,13 @@ def test_matching_family_removes_fixed_pairs():
     assert g.m == 9 * 8 // 2 - 2
     assert not g.has_edge(0, 1) and not g.has_edge(2, 3)
     assert g.has_edge(4, 5) and g.has_edge(0, 2) and g.has_edge(1, 3)
+    # Every small case against the definition: the pairs u < v in
+    # nested-loop order, less the matching.
+    for n in range(13):
+        for m in range(n // 2 + 1):
+            removed = {(2 * i, 2 * i + 1) for i in range(m)}
+            want = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in removed]
+            assert gen_complete_minus_matching(n, m).edges == tuple(want)
 
 
 def test_matching_family_zero_is_complete():
@@ -157,14 +164,14 @@ def test_keep_flags_match_the_random_loop(n):
     # The kernel against the per-pair loop it replaced, candidate after
     # candidate on twin generators: every density of the schedule and 50
     # seeded random ones, the same flags and the same state afterwards.
-    pairs, _, low, high = generators._pair_draws(n)
-    m = len(pairs)
+    m = n * (n - 1) // 2
+    _, low, high = generators._pair_draws(n, m)
     densities = generators._DENSITY_SCHEDULE + tuple(random.Random(n).random() for _ in range(50))
     offsets = [generators._lane_offset(p, m) for p in densities]
     for seed in range(200):
         loop, kernel = random.Random(seed), random.Random(seed)
         for p, offset in zip(densities, offsets):
-            want = [loop.random() < p for _ in pairs]
+            want = [loop.random() < p for _ in range(m)]
             keep = generators._keep_flags(kernel.getrandbits(64 * m), low, high, offset, m)
             assert keep == bytes(want)
         assert kernel.getstate() == loop.getstate()

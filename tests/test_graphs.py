@@ -6,7 +6,7 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import all_simple_paths
@@ -28,11 +28,40 @@ from kitelink.graphs import (
 )
 
 
-def test_adjacency_is_sorted_and_deduplicated():
-    g = Graph(4, [(3, 0), (0, 1), (1, 0), (2, 0)])
-    assert g.neighbors(0) == (1, 2, 3)
-    assert g.m == 3
-    assert g.edges == ((0, 1), (0, 2), (0, 3))
+@st.composite
+def _edge_list_and_variant(draw):
+    # An edge list over n <= 10 with repeats in both orientations, and a
+    # shuffled copy with every entry's orientation drawn afresh.
+    n = draw(st.integers(0, 10))
+    edges = []
+    if n >= 2:
+        edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+            lambda e: (e[0], (e[0] + e[1]) % n)
+        )
+        edges = draw(st.lists(edge, max_size=30))
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=10))]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    variant = [(v, u) if f else (u, v) for (u, v), f in zip(draw(st.permutations(edges)), flips)]
+    return n, edges, variant
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_list_and_variant())
+@example(case=(4, [(3, 0), (0, 1), (1, 0), (2, 0)], [(0, 2), (1, 0), (0, 3)]))
+def test_adjacency_is_sorted_and_deduplicated(case):
+    n, edges, variant = case
+    keys = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    g = Graph(n, edges)
+    assert g.edges == tuple(keys)
+    assert g.m == len(keys)
+    for v in range(n):
+        assert g.neighbors(v) == tuple(sorted({a + b - v for a, b in keys if v in (a, b)}))
+    h = Graph(n, variant)
+    assert h == g and hash(h) == hash(g)
+    for key in keys:
+        assert Graph(n, [e for e in edges if (min(e), max(e)) != key]) != g
+    assert Graph(n + 1, edges) != g
 
 
 def test_constructor_rejects_bad_edges():
