@@ -3,7 +3,11 @@
 The package splits into a constructive side (fans, 2-linkages, staged
 assembly, flowers) and an independent brute-force side (oracle) so the
 two can cross-check each other. Graph and path value objects are shared.
+Each public name is stated once, in the import that binds it here;
+``__all__`` is read off those bindings.
 """
+
+from types import ModuleType as _ModuleType
 
 from .constructor import (
     ApexFan,
@@ -97,85 +101,9 @@ from .structures import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApexFan",
-    "AssemblyFailed",
-    "BudgetExceeded",
-    "ConstructionFailed",
-    "CutCertificate",
-    "Cycle",
-    "DiagnosticRecord",
-    "DuplicateEdge",
-    "DuplicateTerminals",
-    "Fan",
-    "FindKiteOptions",
-    "FindKiteResult",
-    "Flower",
-    "FlowerInvalid",
-    "FlowerResolutionExhausted",
-    "FormatError",
-    "GenerationExhausted",
-    "Graph",
-    "GraphTooSmall",
-    "InteriorOverlap",
-    "InvalidBaseFan",
-    "InvalidCycle",
-    "InvariantViolation",
-    "KiteLinkedVerdict",
-    "KiteSubdivision",
-    "KitelinkError",
-    "Landmarks",
-    "LinkageBudgetExceeded",
-    "LinkagePair",
-    "LoopEdge",
-    "MalformedLine",
-    "NoSevenFan",
-    "NoTerminalFan",
-    "NotSevenConnected",
-    "OrderingViolated",
-    "Path",
-    "PreconditionViolated",
-    "RootQuadruple",
-    "SearchBudget",
-    "SegmentsNotChainable",
-    "StageFailure",
-    "TerminalFan",
-    "TrialConfig",
-    "TrialReport",
-    "Verdict",
-    "VertexNotOnPath",
-    "VertexOutOfRange",
-    "apex_fan",
-    "assemble",
-    "build_flower",
-    "check_fan",
-    "claim1_assembly",
-    "claim2_assembly",
-    "claim3_assembly",
-    "compute_landmarks",
-    "concat_paths",
-    "extend_fan",
-    "find_fan",
-    "find_kite",
-    "find_kite_exhaustive",
-    "format_graph",
-    "gen_complete_minus_matching",
-    "gen_random_kconnected",
-    "graph_as_json",
-    "has_connectivity_at_least",
-    "is_kite_linked",
-    "iter_trials",
-    "kite_from_json",
-    "parse_graph",
-    "parse_graph_json",
-    "report_lines",
-    "resolve_flower",
-    "run_trials",
-    "stage_counts",
-    "subpath",
-    "terminal_fan",
-    "two_linkage",
-    "verify_flower",
-    "verify_kite",
-    "vertex_connectivity",
-]
+# The imports above also bind each submodule; a star import skips them.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

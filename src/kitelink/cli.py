@@ -123,8 +123,7 @@ def _cmd_kite_oracle(args) -> int:
     roots = RootQuadruple(args.x1, args.x2, args.x3, args.x4)
     kite = find_kite_exhaustive(g, roots, SearchBudget(args.budget))
     if kite is None:
-        _emit(args, {"found": False})
-        return 1
+        return _emit_found(args, None)
     _emit(args, kite.as_json(roots))
     return 0
 

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the library.
 
-The CLI maps these onto exit codes: input/precondition problems exit 2,
-exhausted search budgets exit 3.  "Not found" outcomes are ordinary return
-values (``None``), never exceptions.
+The CLI maps these onto exit codes; the docstring of kitelink.cli is
+the one full list.  Searches that may find nothing (find_fan,
+two_linkage, find_kite_exhaustive) return ``None`` for it, but
+find_kite, which promises a kite, raises ConstructionFailed when none
+exists or its fallback runs out of budget.
 """
 
 from __future__ import annotations

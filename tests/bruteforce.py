@@ -420,3 +420,65 @@ def connected_representatives(n: int) -> list[Graph]:
         if canonical:
             reps.append(mask_to_graph(n, mask))
     return reps
+
+
+def k_minus(n: int, paths: tuple[int, ...] = (), cycles: tuple[int, ...] = ()) -> Graph:
+    """K_n minus a disjoint union of paths and cycles with these vertex
+    counts, laid on consecutive vertices in the order given, paths
+    first: a path's vertices are joined in order, and a cycle's last
+    vertex is also joined to its first."""
+    missing = set()
+    start = 0
+    for size, closed in [(s, False) for s in paths] + [(s, True) for s in cycles]:
+        run = range(start, start + size)
+        missing.update(zip(run, run[1:]))
+        if closed:
+            missing.add((run[0], run[-1]))
+        start += size
+    assert start == n, f"components cover {start} of {n} vertices"
+    return Graph(n, (e for e in itertools.combinations(range(n), 2) if e not in missing))
+
+
+def _partitions(total: int, sizes: range):
+    """Each multiset of sizes summing to total, as a non-decreasing tuple."""
+    if total == 0:
+        yield ()
+        return
+    for s in sizes:
+        if s > total:
+            return
+        for rest in _partitions(total - s, range(s, sizes.stop)):
+            yield (s,) + rest
+
+
+def complement_classes(n: int):
+    """Yield (paths, cycles, K_n minus them) for every disjoint union of
+    paths and cycles on n vertices whose maximum degree is at most n - 8,
+    one per multiset of lengths: paths shortest first (a lone vertex is
+    a one-vertex path), then cycles shortest first, as k_minus lays them."""
+    if n > 10:
+        raise ValueError("from n = 11 the complement may have degree 3")
+    spare = n - 8
+    path_sizes = range(1, n + 1 if spare >= 2 else spare + 2)
+    cycle_sizes = range(3, n + 1) if spare >= 2 else range(0)
+    for on_paths in range(n + 1):
+        for paths in _partitions(on_paths, path_sizes):
+            for cycles in _partitions(n - on_paths, cycle_sizes):
+                yield paths, cycles, k_minus(n, paths, cycles)
+
+
+def census(n: int):
+    """Yield (paths, cycles, graph), one per isomorphism class of the
+    7-connected graphs on n <= 10 vertices.
+
+    A 7-connected graph has minimum degree at least 7, so its complement
+    H has maximum degree at most n - 8 <= 2.  A graph of maximum degree
+    at most 2 is a disjoint union of paths and cycles, and the multiset
+    of their lengths fixes it up to isomorphism, so complement_classes
+    meets every class once, with no isomorphism test.  A class is kept
+    when brute_connectivity, not the library's vertex_connectivity,
+    finds it 7-connected.
+    """
+    for paths, cycles, g in complement_classes(n):
+        if brute_connectivity(g) >= 7:
+            yield paths, cycles, g
