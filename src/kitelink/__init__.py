@@ -58,7 +58,6 @@ from .fans import (
     CutCertificate,
     Fan,
     TerminalFan,
-    check_fan,
     extend_fan,
     find_fan,
     has_connectivity_at_least,
@@ -94,6 +93,7 @@ from .structures import (
     KiteSubdivision,
     RootQuadruple,
     Verdict,
+    check_fan,
     kite_from_json,
     verify_flower,
     verify_kite,

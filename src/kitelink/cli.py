@@ -158,7 +158,7 @@ def _cmd_trials(args) -> int:
     for report in iter_trials(config):
         # Flushed line by line: a reader sees each trial as it finishes,
         # and a closed pipe stops the campaign at the next line.
-        print(*report_lines([report], timing=args.timing), flush=True)
+        print(*report_lines([report]), flush=True)
         stages.update(stage_counts([report]))
     if not args.quiet:
         print(f"stages: {json.dumps(stages, sort_keys=True)}", file=sys.stderr)

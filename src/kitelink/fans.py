@@ -16,7 +16,7 @@ from .errors import GraphTooSmall, InvalidBaseFan, InvariantViolation, Precondit
 from . import flow
 from .graphs import Graph, vertex_mask
 from .paths import Path
-from .structures import RootQuadruple
+from .structures import RootQuadruple, check_fan
 
 
 @dataclass(frozen=True)
@@ -74,36 +74,6 @@ class TerminalFan:
 
     def swap_sides(self) -> "TerminalFan":
         return TerminalFan(self.hub, self.r, self.q, self.s)
-
-
-def check_fan(g: Graph, x: int, s: frozenset[int] | set[int], fan: Fan) -> str | None:
-    """None when fan is a valid fan from x into s, else the first problem."""
-    if fan.center != x:
-        return "fan center mismatch"
-    seen_terminals: set[int] = set()
-    seen_interiors: set[int] = set()
-    for arm in fan.arms:
-        if arm.first != x:
-            return f"arm {arm!r} does not start at {x}"
-        if len(arm) < 2:
-            return f"arm {arm!r} has no edge"
-        if not arm.is_walk_in(g):
-            return f"arm {arm!r} uses a missing edge"
-        hits = [v for v in arm if v in s]
-        if hits != [arm.last]:
-            return f"arm {arm!r} must meet the target set exactly at its end"
-        if arm.last in seen_terminals:
-            return f"terminal {arm.last} reused"
-        seen_terminals.add(arm.last)
-        # Interiors miss s, which holds every terminal, so only two
-        # interiors can collide.
-        inner = set(arm.vertices[1:-1])
-        if inner & seen_interiors:
-            return "arms overlap off the center"
-        seen_interiors.update(inner)
-    if x in s:
-        return "center may not belong to the target set"
-    return None
 
 
 def _validate_fan_args(g: Graph, x: int, s: frozenset[int], k: int) -> None:

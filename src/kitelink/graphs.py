@@ -116,6 +116,11 @@ def connected_avoiding(g: Graph, a: int, b: int, banned: int) -> bool:
     ``banned`` is a bitmask of forbidden vertices; a and b themselves are
     always allowed.
     """
+    # Not a call of layers_avoiding: this loop keeps no layer list and
+    # stops as soon as a frontier touches b.  As that one-line call,
+    # find_kite_exhaustive ran 11-21% slower: 300 calls over five small
+    # circulants took 488-521 ms with this loop and 543-631 ms with that
+    # call (best of 7, three alternations, on a 2-core Xeon).
     if a == b:
         return True
     target = 1 << b

@@ -88,12 +88,13 @@ class TrialReport:
     kite: dict | None
     wall_ms: float | None
 
-    def as_json(self, timing: bool = False) -> dict:
-        """The fields in order, index as "trial"; wall_ms only when timed."""
+    def as_json(self) -> dict:
+        """The fields in order, index as "trial"; wall_ms left out when
+        None, as it is for a trial not timed."""
         out = {
             "trial" if f.name == "index" else f.name: getattr(self, f.name)
             for f in fields(self)
-            if timing or f.name != "wall_ms"
+            if f.name != "wall_ms" or self.wall_ms is not None
         }
         out["roots"] = list(self.roots)
         return out
@@ -178,6 +179,6 @@ def stage_counts(reports: Iterable[TrialReport]) -> dict[str, int]:
     return dict(Counter(r.stage if r.outcome == "success" else "failure" for r in reports))
 
 
-def report_lines(reports: Iterable[TrialReport], timing: bool = False) -> Iterator[str]:
+def report_lines(reports: Iterable[TrialReport]) -> Iterator[str]:
     for r in reports:
-        yield json.dumps(r.as_json(timing), separators=(",", ":"))
+        yield json.dumps(r.as_json(), separators=(",", ":"))

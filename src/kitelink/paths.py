@@ -18,7 +18,6 @@ from .errors import (
     SegmentsNotChainable,
     VertexNotOnPath,
 )
-from .graphs import Graph
 
 
 class _Walk:
@@ -51,9 +50,6 @@ class _Walk:
         vs = self.vertices
         for a, b in zip(vs, vs[1:] + vs[:1] if self._closed else vs[1:]):
             yield (a, b) if a < b else (b, a)
-
-    def is_walk_in(self, g: Graph) -> bool:
-        return all(g.has_edge(a, b) for a, b in self.edges())
 
 
 class Path(_Walk):

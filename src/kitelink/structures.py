@@ -1,4 +1,5 @@
-"""Rooted kite subdivisions and flowers, with their verifiers.
+"""Rooted kite subdivisions and flowers, with their verifiers, and the
+check of a fan of paths.
 
 The kite is the 4-vertex pattern made of a triangle plus a pendant edge.
 A rooted subdivision of it consists of a cycle through x1, x2, x3 and a
@@ -175,6 +176,36 @@ def verify_kite(g: Graph, roots: RootQuadruple, kite: KiteSubdivision) -> Verdic
         extra = sorted(meet - {roots.x2})
         return Verdict(False, f"pendant touches cycle at {extra}")
     return _VALID
+
+
+def check_fan(g: Graph, x: int, s: frozenset[int] | set[int], fan) -> str | None:
+    """None when fan, a fans.Fan read only through its center and arms,
+    is a valid fan from x into s; else the first problem."""
+    if fan.center != x:
+        return "fan center mismatch"
+    seen_terminals: set[int] = set()
+    seen_interiors: set[int] = set()
+    for arm in fan.arms:
+        if arm.first != x:
+            return f"arm {arm!r} does not start at {x}"
+        bad = _check_walk(g, arm.vertices, f"arm {arm!r}", closed=False)
+        if bad:
+            return bad
+        hits = [v for v in arm if v in s]
+        if hits != [arm.last]:
+            return f"arm {arm!r} must meet the target set exactly at its end"
+        if arm.last in seen_terminals:
+            return f"terminal {arm.last} reused"
+        seen_terminals.add(arm.last)
+        # Interiors miss s, which holds every terminal, so only two
+        # interiors can collide.
+        inner = set(arm.vertices[1:-1])
+        if inner & seen_interiors:
+            return "arms overlap off the center"
+        seen_interiors.update(inner)
+    if x in s:
+        return "center may not belong to the target set"
+    return None
 
 
 def _cyclic_order_ok(cycle: Sequence[int], marks: Sequence[int]) -> bool:

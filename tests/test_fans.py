@@ -41,7 +41,7 @@ from kitelink.flow import Flow
 from kitelink.generators import gen_complete_minus_matching, gen_random_kconnected
 from kitelink.graphs import Graph
 from kitelink.paths import Path
-from kitelink.structures import RootQuadruple
+from kitelink.structures import RootQuadruple, _check_walk
 
 
 def _cycle(n: int) -> Graph:
@@ -76,6 +76,19 @@ def test_check_fan_catches_each_violation():
     )
     assert check_fan(g, 3, s, Fan(3, (Path((3, 4)),))) is not None
     assert check_fan(g, 3, s, Fan(3, ())) == "center may not belong to the target set"
+
+
+def test_check_fan_reports_a_bad_arm_as_the_kite_verifier_does():
+    g = gen_complete_minus_matching(6, 0)
+    s = frozenset({3, 4, 5})
+    cases = [
+        (Graph(6, [(0, 1)]), Path((0, 3)), "arm Path([0, 3]) uses missing edge 0-3"),
+        (g, Path((0, 9)), "arm Path([0, 9]) uses out-of-range vertex 9"),
+        (g, Path((0,)), "arm Path([0]) has no edge"),
+    ]
+    for host, arm, message in cases:
+        assert check_fan(host, 0, s, Fan(0, (arm,))) == message
+        assert _check_walk(host, arm.vertices, f"arm {arm!r}", closed=False) == message
 
 
 def test_find_fan_on_bottleneck():

@@ -134,7 +134,7 @@ def test_report_lines_shape_and_timing_key():
     # first and wall_ms last.
     assert [f.name for f in fields(TrialReport)] == ["index", *keys[1:], "wall_ms"]
     timed = run_trials(TrialConfig(generator="random", n=10, trials=2, seed=5, timing=True))
-    for line in report_lines(timed, timing=True):
+    for line in report_lines(timed):
         obj = json.loads(line)
         assert list(obj) == keys + ["wall_ms"]
         assert obj["wall_ms"] >= 0.0

@@ -20,7 +20,7 @@ from kitelink.errors import (
 from kitelink.generators import gen_complete_minus_matching
 from kitelink.graphs import Graph, connected_avoiding, shortest_avoiding, vertex_mask
 from kitelink.linkage import LinkagePair, two_linkage
-from kitelink.structures import RootQuadruple, verify_kite
+from kitelink.structures import RootQuadruple, _check_walk, verify_kite
 
 from bruteforce import all_simple_paths, circulant, two_linkage_oracle
 
@@ -28,7 +28,8 @@ from bruteforce import all_simple_paths, circulant, two_linkage_oracle
 def _check_pair(g: Graph, pair: LinkagePair, s1, t1, s2, t2) -> None:
     assert pair.l.first == s1 and pair.l.last == t1
     assert pair.lprime.first == s2 and pair.lprime.last == t2
-    assert pair.l.is_walk_in(g) and pair.lprime.is_walk_in(g)
+    assert _check_walk(g, pair.l.vertices, "l", closed=False) is None
+    assert _check_walk(g, pair.lprime.vertices, "lprime", closed=False) is None
     assert not set(pair.l.vertices) & set(pair.lprime.vertices)
 
 
